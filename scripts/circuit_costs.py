@@ -9,18 +9,12 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from veil.chain import GAS_PER_COMPRESSION, GAS_PER_SLOT, GAS_PER_VERIFICATION
+from veil.chain import verification_gas
 from veil.compiler import BuildSettings, compile_source
 from veil.source import SourceFile
 
 CONTRACTS = ("token", "reveal", "privif", "nested", "zeroinit", "shortcircuit")
 DIR = os.path.join(os.path.dirname(__file__), "..", "tests", "contracts")
-
-
-def gas(vk):
-    slots = 1 if vk.hashing_active else vk.n_in + vk.n_out
-    return (GAS_PER_SLOT * slots + GAS_PER_COMPRESSION * vk.hash_compressions
-            + GAS_PER_VERIFICATION)
 
 
 def main():
@@ -36,11 +30,10 @@ def main():
         for label, s in settings:
             artifact = compile_source(source, s)
             for cname, lowered in sorted(artifact.lowered.items()):
-                vk = artifact.keys[cname].verifier
                 print(f"{name:<14}{label:<13}{cname:<22}"
                       f"{len(lowered.cs.constraints):>12}"
                       f"{lowered.in_total + lowered.out_total:>10}"
-                      f"{gas(vk):>9}")
+                      f"{verification_gas(artifact.keys[cname].verifier):>9}")
 
 
 if __name__ == "__main__":

@@ -15,11 +15,9 @@ import os
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Dict, List, Optional, Tuple
 
-from .crypto import zero_cipher
 from .field import Field
 from .interpreter import Evaluator, RequireException, TxEnv, VerificationFailed
-from .lang import MappingType
-from .proving import TransparentProof, verify
+from .proving import TransparentProof, VerifierKey, verify
 
 CHAIN_FORMAT = 1
 
@@ -32,6 +30,13 @@ GAS_PER_VERIFICATION = 40000
 
 DEFAULT_BALANCE = 10 ** 12
 TIMESTAMP_DELTA = 12
+
+
+def verification_gas(vk: VerifierKey) -> int:
+    """Gas proxy charged for one proof verification under `vk`."""
+    slots = 1 if vk.hashing_active else vk.n_in + vk.n_out
+    return (GAS_PER_SLOT * slots + GAS_PER_COMPRESSION * vk.hash_compressions
+            + GAS_PER_VERIFICATION)
 
 
 class ChainError(Exception):
@@ -329,24 +334,8 @@ class ChainEvaluator(Evaluator):
         self.proof: Optional[TransparentProof] = None
         self.gas_proxy = 0
 
-    def storage_read(self, var: str, key_path: Tuple):
-        info = self.tc.tast.state.get(var)
-        if info is None:
-            raise RequireException(f"unknown state variable '{var}'")
-        node = self.record.storage.get(var)
-        dtype = info.atype.dtype
-        label = info.atype.label
-        for key in key_path:
-            if not isinstance(dtype, MappingType):
-                raise RequireException(f"cannot index state variable '{var}'")
-            node = None if node is None else node.get(key)
-            label = dtype.value.label
-            dtype = dtype.value.dtype
-        if isinstance(dtype, MappingType):
-            return node if node is not None else {}
-        if node is None:
-            return zero_cipher(self.backend) if not label.is_public else 0
-        return node
+    def storage_root(self, var: str):
+        return self.record.storage.get(var)
 
     def storage_write(self, var: str, key_path: Tuple, value):
         if var not in self.tc.tast.state:
@@ -386,10 +375,7 @@ class ChainEvaluator(Evaluator):
             self.artifact.verifier_texts[circuit].encode()).hexdigest()
         if self.chain.contracts[vaddr].digest != expected:
             raise VerificationFailed(circuit)
-        self.gas_proxy += (GAS_PER_SLOT * (1 if vk.hashing_active
-                                           else vk.n_in + vk.n_out)
-                           + GAS_PER_COMPRESSION * vk.hash_compressions
-                           + GAS_PER_VERIFICATION)
+        self.gas_proxy += verification_gas(vk)
         if self.proof is None:
             raise VerificationFailed(circuit)
         ok = verify(vk, lowered, [v % self.field.p for v in self.in_array],

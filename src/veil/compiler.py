@@ -2,16 +2,12 @@
 lower every entry circuit, generate (or reuse cached) keys, and emit the
 output directory with contract text, verifier contracts, constraint systems,
 keys and the manifest.
-
-Distinct proof circuits are lowered and keyed in parallel; results are
-deterministic regardless of completion order.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -100,18 +96,12 @@ def compile_source(source: SourceFile, settings: BuildSettings,
     backend = backend_by_name(settings.crypto_backend, field)
     tc = transform_contract(tast, backend)
 
-    def lower_entry(entry):
-        flat = inline_calls(tc.circuits, entry.root_circuit, entry.layout)
-        return entry.root_circuit, lower(flat, backend, field, entry.in_total,
-                                         entry.out_total, settings.hash_threshold,
-                                         settings.hash_mode)
-
-    entries = list(tc.entries.values())
     lowered: Dict[str, LoweredCircuit] = {}
-    if entries:
-        with ThreadPoolExecutor(max_workers=min(4, len(entries))) as pool:
-            for name, low in pool.map(lower_entry, entries):
-                lowered[name] = low
+    for entry in tc.entries.values():
+        flat = inline_calls(tc.circuits, entry.root_circuit, entry.layout)
+        lowered[entry.root_circuit] = lower(
+            flat, backend, field, entry.in_total, entry.out_total,
+            settings.hash_threshold, settings.hash_mode)
 
     cache = KeyCache(output_dir) if output_dir else None
     keys: Dict[str, TransparentKeys] = {}
@@ -149,8 +139,8 @@ def write_output_dir(artifact: CompiledArtifact, output_dir: str):
     put("pki.sol", artifact.pki_text)
     for name, text in artifact.verifier_texts.items():
         put(f"verifier_{name}.sol", text)
-    for name, low in artifact.lowered.items():
-        put(f"circuit_{name}.r1cs", low.cs.serialize())
+    for name, keys in artifact.keys.items():
+        put(f"circuit_{name}.r1cs", keys.prover.cs_bytes)
     put("manifest.json", manifest_bytes(artifact.manifest))
     # key files are written by the key cache during compilation
 

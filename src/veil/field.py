@@ -39,35 +39,6 @@ class Field:
         # exceed 248 (31 bytes, one slot).
         return min(248, 8 * ((self.bits - 2) // 8))
 
-    def reduce(self, v: int) -> int:
-        return v % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero in prime field")
-        return pow(a, self.p - 2, self.p)
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.p)
-
-    def element(self, v: int) -> int:
-        """Validate that v is a canonical field element and return it."""
-        if not 0 <= v < self.p:
-            raise ValueError(f"value {v} outside field range [0, {self.p})")
-        return v
-
 
 def field_by_name(name: str) -> Field:
     try:

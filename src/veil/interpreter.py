@@ -22,7 +22,7 @@ from . import ast, intsem
 from .circuits import AbstractCircuit, FIELD_WIDTH
 from .crypto import CryptoBackend, zero_cipher
 from .field import Field
-from .lang import (AddressType, BoolType, EnumType, IntType,
+from .lang import (AddressType, BoolType, EnumType, IntType, MappingType,
                    NumberLiteralType)
 from .transform import FnMeta, TransformedContract, common_op_ctype
 
@@ -60,6 +60,24 @@ def type_width(dtype) -> Tuple[int, bool]:
     if isinstance(dtype, NumberLiteralType):
         return 256, False
     raise TypeError(f"no width for {dtype}")
+
+
+def walk_storage(tc: TransformedContract, var: str, node, key_path: Tuple):
+    """Index the stored value `node` of state variable `var` with `key_path`;
+    returns (node, dtype, label) at the end of the path, where a missing
+    entry is None."""
+    info = tc.tast.state.get(var)
+    if info is None:
+        raise RequireException(f"unknown state variable '{var}'")
+    dtype = info.atype.dtype
+    label = info.atype.label
+    for key in key_path:
+        if not isinstance(dtype, MappingType):
+            raise RequireException(f"cannot index state variable '{var}'")
+        node = None if node is None else node.get(key)
+        label = dtype.value.label
+        dtype = dtype.value.dtype
+    return node, dtype, label
 
 
 @dataclass
@@ -107,10 +125,20 @@ class Evaluator:
         self.out_array: List[int] = []
         self.trace: Optional[Callable[[str], None]] = None
 
-    # -- storage interface (overridden) --
+    # -- storage interface (overridden, except storage_read) --
+
+    def storage_root(self, var: str):
+        """The whole stored value of state variable `var`, or None."""
+        raise NotImplementedError
 
     def storage_read(self, var: str, key_path: Tuple):
-        raise NotImplementedError
+        node, dtype, label = walk_storage(self.tc, var, self.storage_root(var),
+                                          key_path)
+        if isinstance(dtype, MappingType):
+            return node if node is not None else {}
+        if node is None:
+            return zero_cipher(self.backend) if not label.is_public else 0
+        return node
 
     def storage_write(self, var: str, key_path: Tuple, value):
         raise NotImplementedError

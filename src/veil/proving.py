@@ -16,12 +16,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .lowering import LoweredCircuit
-from .r1cs import ConstraintSystem
 from .sha256gadget import hash_public_io
 
 MAGIC_PK = b"VPK\x01"
@@ -122,43 +120,40 @@ def keygen(lowered: LoweredCircuit) -> TransparentKeys:
 
 
 class KeyCache:
-    """Disk-backed key cache: unchanged circuits reuse their keys byte for
-    byte; the generation counter makes cache hits observable."""
+    """Disk-backed key cache: a circuit's keys are derived from one
+    serialization of its constraint system and count as reused when both key
+    files on disk are byte-identical to them; any other file is rewritten."""
 
     def __init__(self, directory: str):
         self.directory = directory
         self.generated = 0
         self.reused = 0
-        self._lock = threading.Lock()
 
     def paths(self, circuit: str) -> Tuple[str, str]:
         return (os.path.join(self.directory, f"proving_{circuit}.key"),
                 os.path.join(self.directory, f"verifying_{circuit}.key"))
 
     def get_or_generate(self, circuit: str, lowered: LoweredCircuit) -> TransparentKeys:
-        pk_path, vk_path = self.paths(circuit)
-        digest = hashlib.sha256(lowered.cs.serialize()).digest()
-        if os.path.exists(pk_path) and os.path.exists(vk_path):
-            try:
-                with open(pk_path, "rb") as f:
-                    pk = ProverKey.deserialize(f.read())
-                with open(vk_path, "rb") as f:
-                    vk = VerifierKey.deserialize(f.read())
-                if pk.digest == digest and vk.digest == digest:
-                    with self._lock:
-                        self.reused += 1
-                    return TransparentKeys(pk, vk)
-            except (ProvingError, json.JSONDecodeError):
-                pass
         keys = keygen(lowered)
+        files = list(zip(self.paths(circuit),
+                         (keys.prover.serialize(), keys.verifier.serialize())))
+        if all(_read_or_none(path) == data for path, data in files):
+            self.reused += 1
+            return keys
         os.makedirs(self.directory, exist_ok=True)
-        with open(pk_path, "wb") as f:
-            f.write(keys.prover.serialize())
-        with open(vk_path, "wb") as f:
-            f.write(keys.verifier.serialize())
-        with self._lock:
-            self.generated += 1
+        for path, data in files:
+            with open(path, "wb") as f:
+                f.write(data)
+        self.generated += 1
         return keys
+
+
+def _read_or_none(path: str) -> Optional[bytes]:
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except FileNotFoundError:
+        return None
 
 
 def prove(lowered: LoweredCircuit, keys: TransparentKeys,
@@ -180,45 +175,15 @@ def prove(lowered: LoweredCircuit, keys: TransparentKeys,
     return TransparentProof(keys.prover.digest, witness)
 
 
-def verify(vk: VerifierKey, lowered: Optional[LoweredCircuit],
+def verify(vk: VerifierKey, lowered: LoweredCircuit,
            in_values: List[int], out_values: List[int],
            proof: TransparentProof) -> bool:
-    """True iff the digests match, the claimed public inputs agree with the
-    witness prefix (or their digest when hashing is active) and all
-    constraints are satisfied.  Needs the constraint system, which the
-    verifier reconstructs from the prover key bytes when not supplied."""
-    if proof.digest != vk.digest:
+    """True iff the supplied circuit and the proof carry the key's digest,
+    the claimed public inputs agree with the witness prefix (or their digest
+    when hashing is active) and all constraints are satisfied."""
+    cs = lowered.cs
+    if proof.digest != vk.digest or hashlib.sha256(cs.serialize()).digest() != vk.digest:
         return False
-    if lowered is not None:
-        cs = lowered.cs
-        if hashlib.sha256(cs.serialize()).digest() != vk.digest:
-            return False
-    else:
-        return False
-    n_claimed = 1 if vk.hashing_active else vk.n_in + vk.n_out
-    if cs.n_public != 1 + n_claimed:
-        return False
-    if len(proof.witness) != cs.n_vars or proof.witness[0] != 1:
-        return False
-    if len(in_values) != vk.n_in or len(out_values) != vk.n_out:
-        return False
-    p = cs.field.p
-    if vk.hashing_active:
-        digest, _ = hash_public_io(in_values + out_values, cs.field, vk.hash_mode)
-        claimed = [digest]
-    else:
-        claimed = [v % p for v in in_values + out_values]
-    if [w % p for w in proof.witness[1:1 + n_claimed]] != claimed:
-        return False
-    return cs.check(proof.witness) is None
-
-
-def verify_with_cs(vk: VerifierKey, cs_bytes: bytes, in_values: List[int],
-                   out_values: List[int], proof: TransparentProof) -> bool:
-    """Verification from serialized prover-key material (used by the chain)."""
-    if hashlib.sha256(cs_bytes).digest() != vk.digest or proof.digest != vk.digest:
-        return False
-    cs = ConstraintSystem.deserialize(cs_bytes)
     n_claimed = 1 if vk.hashing_active else vk.n_in + vk.n_out
     if cs.n_public != 1 + n_claimed:
         return False

@@ -22,13 +22,6 @@ LC = Tuple[Tuple[int, int], ...]
 MAGIC_R1CS = b"VR1CS\x01"
 
 
-class UnsatisfiedConstraint(Exception):
-    def __init__(self, index: int, tag: str):
-        self.index = index
-        self.tag = tag
-        super().__init__(f"constraint {index} not satisfied: {tag}")
-
-
 @dataclass
 class Hint:
     outs: Tuple[int, ...]

@@ -25,7 +25,7 @@ from .circuits import (CBin, CCall, CCast, CCond, CDecl, CEnc, CEq, CExpr,
 from .compiler import CompiledArtifact
 from .crypto import KeyMaterial, zero_cipher
 from .interpreter import (Evaluator, Frame, RequireException, TxEnv,
-                          type_width)
+                          type_width, walk_storage)
 from .intsem import binop as int_binop, cast as int_cast, unop as int_unop
 from .lang import MappingType
 from .proving import ProvingError, TransparentProof, prove
@@ -105,7 +105,7 @@ class SimEvaluator(Evaluator):
 
     # -- storage: lazy chain reads with an in-transaction overlay --
 
-    def _tree(self, var: str):
+    def storage_root(self, var: str):
         if var in self.write_overlay:
             return self.write_overlay[var]
         if var not in self.state_cache:
@@ -113,31 +113,9 @@ class SimEvaluator(Evaluator):
             self.state_cache[var] = copy.deepcopy(storage.get(var))
         return self.state_cache[var]
 
-    def invalidate_cache(self):
-        self.state_cache.clear()
-
-    def storage_read(self, var: str, key_path: Tuple):
-        info = self.tc.tast.state.get(var)
-        if info is None:
-            raise RequireException(f"unknown state variable '{var}'")
-        node = self._tree(var)
-        dtype = info.atype.dtype
-        label = info.atype.label
-        for key in key_path:
-            if not isinstance(dtype, MappingType):
-                raise RequireException(f"cannot index state variable '{var}'")
-            node = None if node is None else node.get(key)
-            label = dtype.value.label
-            dtype = dtype.value.dtype
-        if isinstance(dtype, MappingType):
-            return node if node is not None else {}
-        if node is None:
-            return zero_cipher(self.backend) if not label.is_public else 0
-        return node
-
     def storage_write(self, var: str, key_path: Tuple, value):
         if var not in self.write_overlay:
-            current = self._tree(var)
+            current = self.storage_root(var)
             self.write_overlay[var] = copy.deepcopy(current) if current is not None \
                 else ({} if key_path else None)
         if not key_path:
@@ -439,38 +417,26 @@ class ContractInterface:
     def state(self, var: str, keys: Tuple = ()) -> Any:
         """Raw state value; ciphertexts owned by the acting account are
         decrypted, foreign ciphertexts returned verbatim."""
-        info = self.artifact.tc.tast.state.get(var)
-        if info is None:
-            raise RequireException(f"unknown state variable '{var}'")
-        storage = self.chain.storage_of(self.address)
-        node = storage.get(var)
-        dtype = info.atype.dtype
-        label = info.atype.label
-        key_names = []
-        for key in keys:
-            if not isinstance(dtype, MappingType):
-                raise RequireException(f"'{var}' has no key {key!r}")
-            node = None if node is None else node.get(key)
-            key_names.append(key)
-            label = dtype.value.label
-            dtype = dtype.value.dtype
+        node, dtype, label = walk_storage(
+            self.artifact.tc, var, self.chain.storage_of(self.address).get(var),
+            keys)
         if isinstance(dtype, MappingType):
             raise RequireException(f"'{var}' needs more keys")
         if label.is_public:
             return node if node is not None else 0
         cipher = tuple(node) if node is not None else zero_cipher(self.artifact.backend)
-        owner = self._label_owner(label, keys, info)
+        owner = self._label_owner(label, keys, var)
         if owner == self.account:
             plain, _ = self.artifact.backend.dec(cipher, self.keys)
             return plain
         return cipher
 
-    def _label_owner(self, label, keys: Tuple, info) -> Optional[int]:
+    def _label_owner(self, label, keys: Tuple, var: str) -> Optional[int]:
         if label.is_me:
             return self.account
         if label.kind == "ident":
             # mapping tag: the owner is the access key; otherwise a state var
-            dtype = info.atype.dtype
+            dtype = self.artifact.tc.tast.state[var].atype.dtype
             if isinstance(dtype, MappingType) and dtype.tag == label.name and keys:
                 return int(keys[0])
             storage = self.chain.storage_of(self.address)

@@ -8,6 +8,8 @@ from veil.compiler import (BuildSettings, compile_source, load_artifact,
                            ArtifactError)
 from veil.emit import (ArchiveError, export_archive, import_archive,
                        emit_pki_contract)
+from veil.proving import keygen
+from veil.r1cs import ConstraintSystem
 from veil.source import SourceFile
 
 from conftest import load_source
@@ -111,6 +113,44 @@ def test_load_artifact_rejects_modified_source(tmp_path):
         f.write("// tampered\n")
     with pytest.raises(ArtifactError):
         load_artifact(out)
+
+
+def test_load_artifact_regenerates_corrupt_key(tmp_path):
+    out = str(tmp_path / "build")
+    compile_source(load_source("token"), BuildSettings(), output_dir=out)
+    (circuit,) = load_artifact(out).keys
+    key_file = os.path.join(out, f"proving_{circuit}.key")
+    with open(key_file, "r+b") as f:
+        f.seek(-1, os.SEEK_END)
+        byte = f.read(1)
+        f.seek(-1, os.SEEK_END)
+        f.write(bytes([byte[0] ^ 0x01]))
+    again = load_artifact(out)
+    assert (again.keygen_generated, again.keygen_reused) == (1, 0)
+    fresh = keygen(again.lowered[circuit]).prover.serialize()
+    with open(key_file, "rb") as f:
+        assert f.read() == fresh
+    with open(os.path.join(out, "manifest.json")) as f:
+        manifest = json.load(f)
+    assert manifest["circuits"][circuit]["pk_digest"] == \
+        hashlib.sha256(fresh).hexdigest()
+
+
+def test_one_serialization_per_circuit(tmp_path, monkeypatch):
+    calls = []
+    original = ConstraintSystem.serialize
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ConstraintSystem, "serialize", counting)
+    out = str(tmp_path / "build")
+    artifact = compile_source(load_source("token"), BuildSettings(), output_dir=out)
+    assert len(calls) == len(artifact.keys) == 1
+    calls.clear()
+    load_artifact(out)
+    assert len(calls) == len(artifact.keys)
 
 
 # --- archives --------------------------------------------------------------------
