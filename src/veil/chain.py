@@ -5,10 +5,15 @@ remote-integrity check compares against.
 The chain pins deployed code by artifact digest; transactions supply the
 locally compiled artifact, which is only executed if its digests match the
 deployment record (the moral equivalent of running stored bytecode).
+
+A transaction runs directly on the contract's storage and the accounts; the
+evaluator's undo journal reverts it and yields its state diff, so its cost
+does not grow with the size of the storage.  `save` replaces the chain file
+atomically.
 """
 from __future__ import annotations
 
-import copy
+import copy  # unused; veilbench's tracer patches this name to time storage copies
 import hashlib
 import json
 import os
@@ -17,7 +22,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .field import Field
 from .interpreter import Evaluator, RequireException, TxEnv, VerificationFailed
-from .proving import TransparentProof, VerifierKey, verify
+from .proving import TransparentProof, VerifierKey, verify, write_atomic
 
 CHAIN_FORMAT = 1
 
@@ -188,39 +193,30 @@ class MockChain:
             if fn_def is None:
                 return TxReceipt(False, revert_reason=f"unknown function '{fn}'",
                                  exit_kind="require")
-        # snapshot for atomic commit
-        storage_before = copy.deepcopy(record.storage)
-        accounts_before = dict(self.accounts)
         self.block_number += 1
         self.timestamp += self.timestamp_delta
         env = TxEnv(sender=sender, value=value, origin=sender,
                     block_number=self.block_number, timestamp=self.timestamp)
         evaluator = ChainEvaluator(artifact, self, address, record, env)
         evaluator.out_array = list(out or [])
+        evaluator.proof = proof
         try:
             if value:
                 if fn_def is not None and fn_def.mutability != "payable":
                     raise RequireException("function is not payable")
-                if self.accounts.get(sender, 0) < value:
-                    raise RequireException("insufficient balance for value")
-                self.accounts[sender] -= value
-                self.accounts[address] = self.accounts.get(address, 0) + value
-            evaluator.proof = proof
+                evaluator.receive_value()
             ret = None
             if fn_def is not None:
                 ret = evaluator.call_function(fn, args)
-            diff = sorted(k for k in record.storage
-                          if record.storage.get(k) != storage_before.get(k))
             return TxReceipt(True, gas_proxy=evaluator.gas_proxy,
-                             state_diff=diff, return_value=ret)
+                             state_diff=evaluator.state_diff(), return_value=ret)
         except VerificationFailed as e:
-            record.storage = storage_before
-            self.accounts = accounts_before
-            return TxReceipt(False, revert_reason=str(e), exit_kind="verification")
+            receipt = TxReceipt(False, revert_reason=str(e),
+                                exit_kind="verification")
         except RequireException as e:
-            record.storage = storage_before
-            self.accounts = accounts_before
-            return TxReceipt(False, revert_reason=e.reason, exit_kind="require")
+            receipt = TxReceipt(False, revert_reason=e.reason, exit_kind="require")
+        evaluator.undo()
+        return receipt
 
     def storage_of(self, address: int) -> Dict[str, Any]:
         record = self.contracts.get(address)
@@ -291,8 +287,8 @@ class MockChain:
 
     def save(self, path: str):
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        with open(path, "w") as f:
-            json.dump(self.to_json(), f, indent=1, sort_keys=True)
+        write_atomic(path, json.dumps(self.to_json(), sort_keys=True,
+                                      separators=(",", ":")).encode())
 
     @classmethod
     def load(cls, path: str, field: Field) -> "MockChain":
@@ -326,39 +322,13 @@ class ChainEvaluator(Evaluator):
 
     def __init__(self, artifact, chain: MockChain, address: int,
                  record: ContractRecord, env: TxEnv):
-        super().__init__(artifact.tc, artifact.backend, artifact.field, env)
+        super().__init__(artifact.tc, artifact.backend, artifact.field, env,
+                         record.storage, chain.accounts, address)
         self.artifact = artifact
         self.chain = chain
-        self.address = address
         self.record = record
         self.proof: Optional[TransparentProof] = None
         self.gas_proxy = 0
-
-    def storage_root(self, var: str):
-        return self.record.storage.get(var)
-
-    def storage_write(self, var: str, key_path: Tuple, value):
-        if var not in self.tc.tast.state:
-            raise RequireException(f"unknown state variable '{var}'")
-        if not key_path:
-            self.record.storage[var] = value
-            return
-        node = self.record.storage.setdefault(var, {})
-        for key in key_path[:-1]:
-            node = node.setdefault(key, {})
-        node[key_path[-1]] = value
-
-    def balance_of(self, address: int) -> int:
-        return self.chain.balance_of(address)
-
-    def do_transfer(self, to: int, amount: int, must_succeed: bool) -> int:
-        if self.chain.accounts.get(self.address, 0) < amount:
-            if must_succeed:
-                raise RequireException("transfer amount exceeds contract balance")
-            return 0
-        self.chain.accounts[self.address] -= amount
-        self.chain.accounts[to] = self.chain.accounts.get(to, 0) + amount
-        return 1
 
     def pki_get(self, address: int) -> int:
         return self.chain.pki_get(self.record.backend, address)

@@ -27,6 +27,7 @@ from .lang import (AddressType, BoolType, EnumType, IntType, MappingType,
 from .transform import FnMeta, TransformedContract, common_op_ctype
 
 LOOP_LIMIT = 1_000_000
+ABSENT = object()  # journal entry for a key that did not exist
 
 
 class RequireException(Exception):
@@ -112,27 +113,61 @@ class Frame:
 
 
 class Evaluator:
-    """Executes transformed contract code against a storage/environment
-    interface; subclassed by the chain executor and the simulator."""
+    """Executes transformed contract code directly on a contract's storage
+    dict and the chain's accounts dict; subclassed by the chain executor and
+    the simulator.
+
+    Every write goes through one undo journal of (variable, container, key,
+    old value or ABSENT) entries, so `undo` restores both dicts exactly and
+    `state_diff` needs no copy of the storage."""
 
     def __init__(self, tc: TransformedContract, backend: CryptoBackend,
-                 field: Field, env: "TxEnv"):
+                 field: Field, env: "TxEnv", storage: Dict[str, Any],
+                 accounts: Dict[int, int], address: Optional[int]):
         self.tc = tc
         self.backend = backend
         self.field = field
         self.env = env
+        self.storage = storage
+        self.accounts = accounts
+        self.address = address
+        self.journal: List[Tuple[Optional[str], dict, Any, Any]] = []
         self.in_array: List[int] = []
         self.out_array: List[int] = []
         self.trace: Optional[Callable[[str], None]] = None
 
-    # -- storage interface (overridden, except storage_read) --
+    # -- journaled state --
 
-    def storage_root(self, var: str):
-        """The whole stored value of state variable `var`, or None."""
-        raise NotImplementedError
+    def _set(self, var: Optional[str], container: dict, key, value):
+        """Write `container[key]`; `var` names the state variable it belongs
+        to, None for a balance."""
+        self.journal.append((var, container, key, container.get(key, ABSENT)))
+        container[key] = value
+
+    def undo(self):
+        """Restore storage and balances to their state before the first
+        journaled write: created keys, intermediate dicts included, go."""
+        for _var, container, key, old in reversed(self.journal):
+            if old is ABSENT:
+                del container[key]
+            else:
+                container[key] = old
+        self.journal.clear()
+
+    def state_diff(self) -> List[str]:
+        """The state variables where some written location now differs from
+        its value before the first write (rewriting a value is no change)."""
+        seen, changed = set(), set()
+        for var, container, key, old in self.journal:
+            if var is None or (id(container), key) in seen:
+                continue
+            seen.add((id(container), key))
+            if container.get(key, ABSENT) != old:
+                changed.add(var)
+        return sorted(changed)
 
     def storage_read(self, var: str, key_path: Tuple):
-        node, dtype, label = walk_storage(self.tc, var, self.storage_root(var),
+        node, dtype, label = walk_storage(self.tc, var, self.storage.get(var),
                                           key_path)
         if isinstance(dtype, MappingType):
             return node if node is not None else {}
@@ -141,13 +176,39 @@ class Evaluator:
         return node
 
     def storage_write(self, var: str, key_path: Tuple, value):
-        raise NotImplementedError
+        if var not in self.tc.tast.state:
+            raise RequireException(f"unknown state variable '{var}'")
+        node, key = self.storage, var
+        for next_key in key_path:
+            child = node.get(key)
+            if child is None:
+                child = {}
+                self._set(var, node, key, child)
+            node, key = child, next_key
+        self._set(var, node, key, value)
 
     def balance_of(self, address: int) -> int:
-        raise NotImplementedError
+        return self.accounts.get(address, 0)
+
+    def _move(self, frm: int, to: int, amount: int):
+        self._set(None, self.accounts, frm, self.accounts.get(frm, 0) - amount)
+        self._set(None, self.accounts, to, self.accounts.get(to, 0) + amount)
+
+    def receive_value(self):
+        """Move msg.value from the sender to the contract before execution."""
+        if self.accounts.get(self.env.sender, 0) < self.env.value:
+            raise RequireException("insufficient balance for value")
+        self._move(self.env.sender, self.address, self.env.value)
 
     def do_transfer(self, to: int, amount: int, must_succeed: bool) -> int:
-        raise NotImplementedError
+        if self.accounts.get(self.address, 0) < amount:
+            if must_succeed:
+                raise RequireException("transfer amount exceeds contract balance")
+            return 0
+        self._move(self.address, to, amount)
+        return 1
+
+    # -- environment interface (overridden) --
 
     def pki_get(self, address: int) -> int:
         raise NotImplementedError

@@ -142,10 +142,23 @@ class KeyCache:
             return keys
         os.makedirs(self.directory, exist_ok=True)
         for path, data in files:
-            with open(path, "wb") as f:
-                f.write(data)
+            write_atomic(path, data)
         self.generated += 1
         return keys
+
+
+def write_atomic(path: str, data: bytes):
+    """Replace the file at `path` by `data` in one step: readers see the old
+    or the new content, never a partial write."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _read_or_none(path: str) -> Optional[bytes]:

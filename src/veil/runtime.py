@@ -6,11 +6,13 @@ shell.
 The simulator executes the same transformed statement stream as the chain;
 ZkExec markers make it run the matching circuit statements in lockstep so
 the collected witness satisfies the lowered constraint system on the first
-attempt.
+attempt.  It runs on the chain's live storage and accounts and always
+replays its undo journal afterwards, so a simulation leaves the chain
+exactly as it found it.  A constructor is simulated on an empty storage.
 """
 from __future__ import annotations
 
-import copy
+import copy  # unused; veilbench's tracer patches this name to time storage copies
 import json
 import os
 import random
@@ -28,7 +30,7 @@ from .interpreter import (Evaluator, Frame, RequireException, TxEnv,
                           type_width, walk_storage)
 from .intsem import binop as int_binop, cast as int_cast, unop as int_unop
 from .lang import MappingType
-from .proving import ProvingError, TransparentProof, prove
+from .proving import ProvingError, TransparentProof, prove, write_atomic
 from .transform import EntryInfo
 
 EXIT_OK = 0
@@ -69,9 +71,8 @@ def account_keys(data_dir: str, backend, account: int, chain: MockChain,
         keys = KeyMaterial(sk=int(data["sk"]), pk=int(data["pk"]))
     else:
         keys = backend.keygen(f"{backend.name}:{account:#x}".encode())
-        with open(path, "w") as f:
-            json.dump({"sk": str(keys.sk), "pk": str(keys.pk),
-                       "backend": backend.name}, f)
+        write_atomic(path, json.dumps({"sk": str(keys.sk), "pk": str(keys.pk),
+                                       "backend": backend.name}).encode())
     if announce and not chain.has_pk(backend.name, account):
         chain.pki_announce(backend.name, account, keys.pk)
     return keys
@@ -81,64 +82,24 @@ def account_keys(data_dir: str, backend, account: int, chain: MockChain,
 
 
 class SimEvaluator(Evaluator):
-    """Executes the transformed AST off-chain: state is fetched lazily from
-    the chain and cached, private reads decrypt immediately, private results
-    are computed, encrypted and placed into the out array, and every circuit
-    value is logged for witness generation."""
+    """Executes the transformed AST off-chain on the given storage and the
+    chain's accounts (the caller undoes its writes): private reads decrypt
+    immediately, private results are computed, encrypted and placed into the
+    out array, and every circuit value is logged for witness generation."""
 
     def __init__(self, artifact: CompiledArtifact, chain: MockChain,
-                 address: int, env: TxEnv, keys: KeyMaterial,
-                 entry: Optional[EntryInfo], rng: random.Random,
-                 trace=None):
-        super().__init__(artifact.tc, artifact.backend, artifact.field, env)
+                 address: Optional[int], storage: Dict[str, Any], env: TxEnv,
+                 keys: KeyMaterial, entry: Optional[EntryInfo],
+                 rng: random.Random, trace=None):
+        super().__init__(artifact.tc, artifact.backend, artifact.field, env,
+                         storage, chain.accounts, address)
         self.artifact = artifact
         self.chain = chain
-        self.address = address
         self.keys = keys
         self.entry = entry
         self.rng = rng
-        self.state_cache: Dict[str, Any] = {}
-        self.write_overlay: Dict[str, Any] = {}
         self.witness: Dict[str, Any] = {}
-        self.accounts = dict(chain.accounts)
         self.trace = trace
-
-    # -- storage: lazy chain reads with an in-transaction overlay --
-
-    def storage_root(self, var: str):
-        if var in self.write_overlay:
-            return self.write_overlay[var]
-        if var not in self.state_cache:
-            storage = self.chain.storage_of(self.address)
-            self.state_cache[var] = copy.deepcopy(storage.get(var))
-        return self.state_cache[var]
-
-    def storage_write(self, var: str, key_path: Tuple, value):
-        if var not in self.write_overlay:
-            current = self.storage_root(var)
-            self.write_overlay[var] = copy.deepcopy(current) if current is not None \
-                else ({} if key_path else None)
-        if not key_path:
-            self.write_overlay[var] = value
-            return
-        node = self.write_overlay[var]
-        if node is None:
-            node = self.write_overlay[var] = {}
-        for key in key_path[:-1]:
-            node = node.setdefault(key, {})
-        node[key_path[-1]] = value
-
-    def balance_of(self, address: int) -> int:
-        return self.accounts.get(address, 0)
-
-    def do_transfer(self, to: int, amount: int, must_succeed: bool) -> int:
-        if self.accounts.get(self.address, 0) < amount:
-            if must_succeed:
-                raise RequireException("transfer amount exceeds contract balance")
-            return 0
-        self.accounts[self.address] -= amount
-        self.accounts[to] = self.accounts.get(to, 0) + amount
-        return 1
 
     def pki_get(self, address: int) -> int:
         return self.chain.pki_get(self.backend.name, address)
@@ -285,10 +246,11 @@ class SimEvaluator(Evaluator):
 
 
 class ContractInterface:
-    """Callable surface of a deployed contract for one acting account."""
+    """Callable surface of a deployed contract for one acting account; with
+    address None, of the contract being deployed, whose storage is empty."""
 
     def __init__(self, artifact: CompiledArtifact, chain: MockChain,
-                 address: int, account: int, data_dir: str,
+                 address: Optional[int], account: int, data_dir: str,
                  rng: Optional[random.Random] = None, trace: bool = False):
         self.artifact = artifact
         self.chain = chain
@@ -304,6 +266,9 @@ class ContractInterface:
         if self.trace_enabled:
             print(f"[trace] {msg}")
 
+    def storage(self) -> Dict[str, Any]:
+        return {} if self.address is None else self.chain.storage_of(self.address)
+
     # -- transaction flow --
 
     def simulate_call(self, fn: str, args: List[Any], value: int = 0) -> TransformedTx:
@@ -317,23 +282,22 @@ class ContractInterface:
         env = TxEnv(sender=self.account, value=value, origin=self.account,
                     block_number=self.chain.block_number + 1,
                     timestamp=self.chain.timestamp + self.chain.timestamp_delta)
-        sim = SimEvaluator(self.artifact, self.chain, self.address, env,
-                           self.keys, entry, self.rng,
+        sim = SimEvaluator(self.artifact, self.chain, self.address,
+                           self.storage(), env, self.keys, entry, self.rng,
                            trace=self._trace if self.trace_enabled else None)
-        if value:
-            # mirror the value transfer the chain performs before execution
-            if sim.accounts.get(self.account, 0) < value:
-                raise RequireException("insufficient balance for value")
-            sim.accounts[self.account] -= value
-            sim.accounts[self.address] = sim.accounts.get(self.address, 0) + value
-        tx_args, witness_extra = self.encode_args(original, args, sim)
-        sim.witness.update(witness_extra)
-        if entry is None:
-            # no verification required: submit the arguments as they are
+        try:
+            if value:
+                sim.receive_value()  # as the chain does before execution
+            tx_args, witness_extra = self.encode_args(original, args, sim)
+            sim.witness.update(witness_extra)
+            if entry is None:
+                # no verification required: submit the arguments as they are
+                sim.call_function(fn, list(tx_args))
+                return TransformedTx(fn=fn, args=tx_args, out=[], proof=None)
+            sim.out_array = [0] * entry.out_total
             sim.call_function(fn, list(tx_args))
-            return TransformedTx(fn=fn, args=tx_args, out=[], proof=None)
-        sim.out_array = [0] * entry.out_total
-        sim.call_function(fn, list(tx_args))
+        finally:
+            sim.undo()
         root = self.artifact.tc.circuits[entry.root_circuit]
         witness = dict(sim.witness)
         if root.needs_sk:
@@ -393,7 +357,7 @@ class ContractInterface:
         for p, a in zip(fn.params, args):
             if p.name == label:
                 return int(a)
-        storage = self.chain.storage_of(self.address)
+        storage = self.storage()
         if label in storage:
             return int(storage[label])
         raise RequireException(f"cannot resolve owner '@{label}'")
@@ -417,9 +381,8 @@ class ContractInterface:
     def state(self, var: str, keys: Tuple = ()) -> Any:
         """Raw state value; ciphertexts owned by the acting account are
         decrypted, foreign ciphertexts returned verbatim."""
-        node, dtype, label = walk_storage(
-            self.artifact.tc, var, self.chain.storage_of(self.address).get(var),
-            keys)
+        node, dtype, label = walk_storage(self.artifact.tc, var,
+                                          self.storage().get(var), keys)
         if isinstance(dtype, MappingType):
             raise RequireException(f"'{var}' needs more keys")
         if label.is_public:
@@ -439,7 +402,7 @@ class ContractInterface:
             dtype = self.artifact.tc.tast.state[var].atype.dtype
             if isinstance(dtype, MappingType) and dtype.tag == label.name and keys:
                 return int(keys[0])
-            storage = self.chain.storage_of(self.address)
+            storage = self.storage()
             if label.name in storage:
                 return int(storage[label.name])
         return None
@@ -462,41 +425,17 @@ def deploy(artifact: CompiledArtifact, chain: MockChain, account: int,
     """Deploy to the mock chain: publishes verifier records, links the PKI,
     and runs the constructor as a transformed transaction."""
     pki_addr = ensure_pki(artifact, chain)
-    iface = ContractInterface(artifact, chain, 0, account, data_dir, rng, trace)
+    pending = ContractInterface(artifact, chain, None, account, data_dir, rng,
+                                trace)
     tx = TransformedTx(fn="constructor", args=list(args), out=[], proof=None)
     if "constructor" in artifact.tc.fn_meta:
-        pending = _PendingDeploy(artifact, chain, account, data_dir, iface)
         try:
-            tx = pending.simulate(args, value)
+            tx = pending.simulate_call("constructor", args, value)
         except RequireException as e:
             return 0, TxReceipt(False, revert_reason=e.reason, exit_kind="require")
     address, receipt = chain.deploy(artifact, account, tx.args, value, tx.out,
                                     tx.proof, pki_addr)
     return address, receipt
-
-
-class _PendingDeploy:
-    """Constructor simulation runs against an empty storage snapshot before
-    the contract address exists."""
-
-    def __init__(self, artifact, chain, account, data_dir, iface):
-        self.artifact = artifact
-        self.chain = chain
-        self.account = account
-        self.iface = iface
-
-    def simulate(self, args: List[Any], value: int) -> TransformedTx:
-        from .chain import ContractRecord
-        temp_addr = -1
-        self.chain.contracts[temp_addr] = ContractRecord(
-            kind="main", digest="", backend=self.artifact.backend_name)
-        try:
-            iface = ContractInterface(self.artifact, self.chain, temp_addr,
-                                      self.account, self.iface.data_dir,
-                                      self.iface.rng, self.iface.trace_enabled)
-            return iface.simulate_call("constructor", args, value)
-        finally:
-            del self.chain.contracts[temp_addr]
 
 
 def verify_integrity(artifact: CompiledArtifact, chain: MockChain,

@@ -224,3 +224,64 @@ def test_timestamp_and_block_advance(token_artifact, tmp_path):
     chain.transact(addr, "register", [], alice, 0, [], None, token_artifact)
     assert chain.block_number == b0 + 1
     assert chain.timestamp == t0 + chain.timestamp_delta
+
+
+class _NoDeepcopy(dict):
+    def __deepcopy__(self, memo):
+        raise AssertionError("contract storage was deep-copied")
+
+
+def test_transactions_never_copy_storage(token_artifact, tmp_path):
+    chain, alice, addr = deploy_token(token_artifact, tmp_path)
+    iface = runtime.connect(token_artifact, chain, addr, alice,
+                            data_dir=str(tmp_path / "d"), rng=random.Random(1))
+    assert iface.call("register", []).success
+    assert iface.call("buy", [10]).success
+    storage = chain.storage_of(addr)
+    storage["balance"] = _NoDeepcopy(storage["balance"])
+    assert iface.call("buy", [5]).success
+    assert iface.state("balance", (alice,)) == 15
+    tx = iface.simulate_call("buy", [1])
+    bad_out = [(tx.out[0] + 1) % token_artifact.field.p] + tx.out[1:]
+    receipt = chain.transact(addr, "buy", tx.args, alice, 0, bad_out, tx.proof,
+                             token_artifact)
+    assert not receipt.success and receipt.exit_kind == "verification"
+    assert iface.state("balance", (alice,)) == 15
+
+
+def test_revert_removes_created_mapping_entries(token_artifact, tmp_path):
+    chain, alice, addr = deploy_token(token_artifact, tmp_path)
+    iface = runtime.connect(token_artifact, chain, addr, alice,
+                            data_dir=str(tmp_path / "d"), rng=random.Random(1))
+    assert iface.call("register", []).success
+    before = copy.deepcopy(chain.to_json())
+    # the first buy creates the `balance` mapping and its entry for alice
+    tx = iface.simulate_call("buy", [5])
+    assert chain.to_json() == before
+    bad_out = [(tx.out[0] + 1) % token_artifact.field.p] + tx.out[1:]
+    receipt = chain.transact(addr, "buy", tx.args, alice, 0, bad_out, tx.proof,
+                             token_artifact)
+    assert not receipt.success and receipt.exit_kind == "verification"
+    before["block_number"] += 1
+    before["timestamp"] += chain.timestamp_delta
+    assert chain.to_json() == before
+    assert "balance" not in chain.storage_of(addr)
+
+
+def test_save_replaces_the_chain_file_atomically(token_artifact, tmp_path,
+                                                 monkeypatch):
+    chain, alice, addr = deploy_token(token_artifact, tmp_path)
+    path = tmp_path / "chain.json"
+    chain.save(str(path))
+    saved = path.read_bytes()
+    assert b"\n" not in saved
+    chain.create_account("bob")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", fail)
+    with pytest.raises(OSError):
+        chain.save(str(path))
+    assert path.read_bytes() == saved
+    assert [p.name for p in tmp_path.iterdir() if p.is_file()] == ["chain.json"]

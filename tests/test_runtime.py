@@ -361,10 +361,30 @@ def test_division_by_zero_reverts(world_factory):
     }"""), BuildSettings())
     w = world_factory(artifact)
     iface = w.iface(0)
-    assert iface.call("f", [7, 2]).success
+    r = iface.call("f", [7, 2])
+    assert r.success and r.state_diff == ["q"]
+    r = iface.call("f", [7, 2])  # rewriting the same value changes nothing
+    assert r.success and r.state_diff == []
     assert iface.state("q") == 3
     r = iface.call("f", [7, 0])
     assert not r.success and r.exit_kind == "require"
     assert iface.state("q") == 3  # atomic
     r = iface.call("g", [7, 0])
     assert not r.success
+
+
+def test_failed_simulation_leaves_chain_unchanged(world_factory):
+    from veil.interpreter import RequireException
+    from veil.source import SourceFile
+    w = world_factory(compile_source(SourceFile("d.zkay", """
+    contract D {
+        uint q;
+        function h(uint a, uint b) public { q = a; q = q / b; }
+    }"""), BuildSettings()))
+    iface = w.iface(0)
+    assert iface.call("h", [7, 2]).success
+    before = w.chain.digest()
+    with pytest.raises(RequireException):
+        iface.simulate_call("h", [9, 0])  # writes q, then divides by zero
+    assert w.chain.digest() == before
+    assert iface.state("q") == 3
