@@ -437,9 +437,6 @@ class PrivacyChecker:
             self.err(span, f"identifiers starting with 'zk_' are reserved "
                            f"({name!r})")
 
-    def warn(self, span: Span, msg: str, code: str = "W-type"):
-        self.sink.warning(code, span, msg)
-
     # -- type resolution -------------------------------------------------------
 
     def resolve_base(self, node, fn: Optional[ast.FunctionDef]) -> DataType:

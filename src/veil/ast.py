@@ -496,26 +496,6 @@ class PkiGetExpr(Expr):
 
 
 @dataclass
-class SectionLoadStmt(Stmt):
-    """Prologue of an internal function: copy own out-section to locals."""
-
-    count: int = 0
-
-    def code(self) -> str:
-        return f"zk_out[0:{self.count}] = out[out_idx : out_idx + {self.count}];"
-
-
-@dataclass
-class SectionStoreStmt(Stmt):
-    """Epilogue: copy collected in-locals to the shared in array."""
-
-    count: int = 0
-
-    def code(self) -> str:
-        return f"in[in_idx : in_idx + {self.count}] = zk_in[0:{self.count}];"
-
-
-@dataclass
 class TransformedCall(Expr):
     """Call to a transformed internal function with section offsets relative
     to the caller's base indices."""

@@ -99,24 +99,6 @@ class CCast(CExpr):
     ctype: CircType
 
 
-def cexpr_vars(e: CExpr) -> List[str]:
-    out: List[str] = []
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, CVar):
-            out.append(node.name)
-        elif isinstance(node, CBin):
-            stack.extend([node.left, node.right])
-        elif isinstance(node, CUn):
-            stack.append(node.operand)
-        elif isinstance(node, CCond):
-            stack.extend([node.cond, node.then_val, node.else_val])
-        elif isinstance(node, CCast):
-            stack.append(node.operand)
-    return out
-
-
 # --- variables ----------------------------------------------------------------------
 
 ROLE_PUB_IN = "pub_in"      # slot(s) in this circuit's own in-section

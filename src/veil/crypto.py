@@ -266,10 +266,10 @@ class DhArxBackend(CryptoBackend):
         m2, m1 = plain_bits[:128], plain_bits[128:256]
         x1 = kit.xor_bits(m1, iv_bits)
         c1_bits = kit.arx_encrypt(x1, key_bits)
-        c1 = kit.recompose(c1_bits)
+        c1 = bld.recompose(c1_bits)
         x2 = kit.xor_bits(m2, c1_bits)
         c2_bits = kit.arx_encrypt(x2, key_bits)
-        c2 = kit.recompose(c2_bits)
+        c2 = bld.recompose(c2_bits)
         if mode == "enc":
             pk_lo, pk_hi = kit.my_pk_halves()
             return [(0, iv_lc), (1, c1), (2, c2), (3, pk_lo), (4, pk_hi)]
@@ -391,8 +391,8 @@ class CircuitKit:
     def my_pk_halves(self) -> Tuple[dict, dict]:
         if self._pk_halves is None:
             bits = self.bld.decompose(self.my_pk_lc, self.field.bits, "pk.split")
-            lo = self.recompose(bits[:128])
-            hi = self.recompose(bits[128:])
+            lo = self.bld.recompose(bits[:128])
+            hi = self.bld.recompose(bits[128:])
             self._pk_halves = (lo, hi)
         return self._pk_halves
 
@@ -413,40 +413,28 @@ class CircuitKit:
 
     # -- bit-vector helpers (128-bit values as 4 LSB-first 32-bit words) --
 
-    def recompose(self, bits: List) -> dict:
-        return lc_add(*(lc_scale(b, 1 << i) for i, b in enumerate(bits))) if bits else lc_const(0)
-
     def xor_bits(self, a: List, b: List) -> List:
         assert len(a) == len(b)
-        out = []
-        for i in range(0, len(a), 32):
-            wa, wb = Word(a[i:i + 32]), Word(b[i:i + 32])
-            out.extend(self.sha.xor(wa, wb).bits)
-        return out
+        bld = self.bld
+        return bld.bit_gate("^", a, b, bld.recompose(a), bld.recompose(b), "arx.xor")
 
     def arx_encrypt(self, block_bits: List, key_words: List[List]) -> List:
         """E_k per docs/arx_cipher.md over 128-bit bit vectors."""
         sha = self.sha
-        key = [Word(kw) for kw in key_words]
-        v = [sha.xor(Word(block_bits[32 * i: 32 * i + 32]), key[i]) for i in range(4)]
+        key_bits = [bit for kw in key_words for bit in kw]
+        x = self.xor_bits(block_bits, key_bits)
+        v = [Word(x[32 * i: 32 * i + 32]) for i in range(4)]
         for _ in range(ARX_ROUNDS):
-            v0 = sha.add_mod32([v[0].lc(), v[1].lc()])
-            v1 = sha.xor(_rotl_word(v[1], 5), v0)
-            v0 = _rotl_word(v0, 16)
-            v2 = sha.add_mod32([v[2].lc(), v[3].lc()])
-            v3 = sha.xor(_rotl_word(v[3], 8), v2)
-            v0 = sha.add_mod32([v0.lc(), v3.lc()])
-            v3 = sha.xor(_rotl_word(v3, 13), v0)
-            v2 = sha.add_mod32([v2.lc(), v1.lc()])
-            v1 = sha.xor(_rotl_word(v1, 7), v2)
-            v2 = _rotl_word(v2, 16)
+            # rotl r moves bit i to i + r, which is rotr(32 - r)
+            v0 = sha.add_mod32([v[0].lc(), v[1].lc()], tag="arx.add")
+            v1 = sha.xor(v[1].rotr(32 - 5), v0, "arx.xor")
+            v0 = v0.rotr(32 - 16)
+            v2 = sha.add_mod32([v[2].lc(), v[3].lc()], tag="arx.add")
+            v3 = sha.xor(v[3].rotr(32 - 8), v2, "arx.xor")
+            v0 = sha.add_mod32([v0.lc(), v3.lc()], tag="arx.add")
+            v3 = sha.xor(v3.rotr(32 - 13), v0, "arx.xor")
+            v2 = sha.add_mod32([v2.lc(), v1.lc()], tag="arx.add")
+            v1 = sha.xor(v1.rotr(32 - 7), v2, "arx.xor")
+            v2 = v2.rotr(32 - 16)
             v = [v0, v1, v2, v3]
-        out = []
-        for i in range(4):
-            out.extend(sha.xor(v[i], key[i]).bits)
-        return out
-
-
-def _rotl_word(w: Word, r: int) -> Word:
-    # left rotation moves bit i to i+r: LSB-first list rotates right
-    return Word(w.bits[32 - r:] + w.bits[:32 - r])
+        return self.xor_bits([bit for w in v for bit in w.bits], key_bits)

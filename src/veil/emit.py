@@ -28,11 +28,6 @@ MANIFEST_FORMAT = 1
 ARCHIVE_EXTENSION = ".zkp"
 
 
-def _indent(lines: List[str], depth: int = 1) -> List[str]:
-    pad = "    " * depth
-    return [pad + l if l else l for l in lines]
-
-
 def emit_pki_contract(backend_name: str, key_slots: int = 1) -> str:
     return f"""\
 // Public key infrastructure for the '{backend_name}' encryption backend.
@@ -226,14 +221,19 @@ def manifest_bytes(manifest: dict) -> bytes:
 ARCHIVE_ENTRIES = ("contract.zkay", "manifest.json")
 
 
+def _is_archive_entry(name: str) -> bool:
+    """The plain file names an archive may hold: the source, the manifest
+    and the key files, never a path."""
+    if "/" in name or "\\" in name:
+        return False
+    return name in ARCHIVE_ENTRIES or (
+        name.startswith(("proving_", "verifying_")) and name.endswith(".key"))
+
+
 def export_archive(build_dir: str, archive_path: str):
     """Deterministic tar: sorted entries, zeroed timestamps and owners, so
     re-exporting identical content reproduces the identical archive."""
-    names = []
-    for entry in os.listdir(build_dir):
-        if entry in ARCHIVE_ENTRIES or entry.startswith(("proving_", "verifying_")):
-            names.append(entry)
-    names.sort()
+    names = sorted(e for e in os.listdir(build_dir) if _is_archive_entry(e))
     with open(archive_path, "wb") as fh:
         with tarfile.open(fileobj=fh, mode="w", format=tarfile.USTAR_FORMAT) as tar:
             for name in names:
@@ -253,13 +253,18 @@ class ArchiveError(Exception):
 
 
 def import_archive(archive_path: str, target_dir: str) -> dict:
-    """Unpack and validate an archive; returns its manifest.  Key files are
-    checked against the manifest digests and tool versions must be
-    compatible."""
+    """Unpack and validate an archive; returns its manifest.  Every entry
+    must be a regular file named as `export_archive` names them, key files
+    must match the manifest digests and tool versions must be compatible;
+    nothing is written unless all of that holds."""
     from . import __version__
-    os.makedirs(target_dir, exist_ok=True)
     with tarfile.open(archive_path, "r") as tar:
-        members = {m.name: m for m in tar.getmembers()}
+        members = {}
+        for m in tar.getmembers():
+            if not (m.isfile() and _is_archive_entry(m.name)):
+                raise ArchiveError(f"archive entry '{m.name}' is not a contract, "
+                                   f"manifest or key file")
+            members[m.name] = m
         for required in ARCHIVE_ENTRIES:
             if required not in members:
                 raise ArchiveError(f"archive is missing '{required}'")
@@ -274,15 +279,19 @@ def import_archive(archive_path: str, target_dir: str) -> dict:
             raise ArchiveError(
                 f"archive requires a newer tool version "
                 f"({manifest.get('tool_version')} > {__version__})")
+        files = {}
         for name, m in sorted(members.items()):
             data = tar.extractfile(m).read()
-            if name.startswith("proving_") and name.endswith(".key"):
+            if name.startswith("proving_"):
                 circuit = name[len("proving_"):-len(".key")]
                 want = manifest["circuits"].get(circuit, {}).get("pk_digest")
                 if want is not None and hashlib.sha256(data).hexdigest() != want:
                     raise ArchiveError(f"archive entry '{name}' is corrupted")
-            with open(os.path.join(target_dir, name), "wb") as f:
-                f.write(data)
+            files[name] = data
+    os.makedirs(target_dir, exist_ok=True)
+    for name, data in files.items():
+        with open(os.path.join(target_dir, name), "wb") as f:
+            f.write(data)
     return manifest
 
 

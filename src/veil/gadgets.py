@@ -12,6 +12,7 @@ overflows at the field prime and comparisons require both operands below
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -57,37 +58,32 @@ class TypedWire:
     signed: bool = False
     bits: Optional[List[Dict[int, int]]] = None
 
-    @property
-    def range_proven(self) -> bool:
-        return self.bits is not None or self.width == FIELD_WIDTH
+
+_BIT_GATES = {"&": operator.and_, "|": operator.or_, "^": operator.xor}
+_BIT_GATE_TAGS = {"&": "and", "|": "or", "^": "xor"}
 
 
 class Builder:
     def __init__(self, f: Field):
         self.f = f
         self.p = f.p
-        self.n_vars = 1
-        self.n_public = 1
-        self.constraints: List[Tuple[LC, LC, LC]] = []
-        self.tags: List[str] = []
-        self.hints: List[Hint] = []
+        self.cs = ConstraintSystem(f)
         self._publics_closed = False
-        self.tag_context: List[str] = []
 
     # --- allocation ---------------------------------------------------------
 
     def alloc(self, n: int = 1) -> int:
         """Allocate n fresh private wires, returning the first index."""
         self._publics_closed = True
-        first = self.n_vars
-        self.n_vars += n
+        first = self.cs.n_vars
+        self.cs.n_vars += n
         return first
 
     def alloc_public(self, n: int = 1) -> int:
         assert not self._publics_closed, "public wires must be allocated first"
-        first = self.n_vars
-        self.n_vars += n
-        self.n_public += n
+        first = self.cs.n_vars
+        self.cs.n_vars += n
+        self.cs.n_public += n
         return first
 
     # --- raw constraints ------------------------------------------------------
@@ -97,14 +93,12 @@ class Builder:
 
     def enforce(self, a: Dict[int, int], b: Dict[int, int], c: Dict[int, int],
                 tag: str = ""):
-        self.constraints.append((self._freeze(a), self._freeze(b), self._freeze(c)))
-        if self.tag_context:
-            tag = self.tag_context[-1] + (": " + tag if tag else "")
-        self.tags.append(tag)
+        self.cs.constraints.append((self._freeze(a), self._freeze(b), self._freeze(c)))
+        self.cs.tags.append(tag)
 
     def hint(self, outs: Sequence[int], ins: Sequence[Dict[int, int]],
              fn: Callable[[Sequence[int]], Sequence[int]]):
-        self.hints.append(Hint(tuple(outs), tuple(self._freeze(i) for i in ins), fn))
+        self.cs.hints.append(Hint(tuple(outs), tuple(self._freeze(i) for i in ins), fn))
 
     def mul_var(self, a: Dict[int, int], b: Dict[int, int], tag: str = "") -> Dict[int, int]:
         """Allocate a wire constrained to the product of two combinations."""
@@ -115,13 +109,7 @@ class Builder:
         return lc_of(out)
 
     def finish(self) -> ConstraintSystem:
-        cs = ConstraintSystem(self.f)
-        cs.n_vars = self.n_vars
-        cs.n_public = self.n_public
-        cs.constraints = self.constraints
-        cs.tags = self.tags
-        cs.hints = self.hints
-        return cs
+        return self.cs
 
     # --- bit plumbing -----------------------------------------------------------
 
@@ -150,6 +138,29 @@ class Builder:
     @staticmethod
     def recompose(bits: List[Dict[int, int]]) -> Dict[int, int]:
         return lc_add(*(lc_scale(b, 1 << i) for i, b in enumerate(bits))) if bits else {}
+
+    def bit_gate(self, op: str, xbits: List[Dict[int, int]], ybits: List[Dict[int, int]],
+                 x: Dict[int, int], y: Dict[int, int], tag: str) -> List[Dict[int, int]]:
+        """Bitwise and/or/xor ("&", "|", "^") of two equal-length bit lists,
+        one constraint per bit; x and y recompose xbits and ybits and feed
+        the one witness hint."""
+        n = len(xbits)
+        first = self.alloc(n)
+        out = [{first + i: 1} for i in range(n)]
+        for xb, yb, z in zip(xbits, ybits, out):
+            if op == "^":  # 2x * y = x + y - z
+                self.enforce(lc_scale(xb, 2), yb, lc_sub(lc_add(xb, yb), z), tag)
+            elif op == "&":
+                self.enforce(xb, yb, z, tag)
+            else:  # or: x * y = x + y - z
+                self.enforce(xb, yb, lc_sub(lc_add(xb, yb), z), tag)
+
+        def fn(v, n=n, gate=_BIT_GATES[op]):
+            r = gate(v[0], v[1])
+            return [(r >> i) & 1 for i in range(n)]
+
+        self.hint(range(first, first + n), [x, y], fn)
+        return out
 
     def truncate(self, lc: Dict[int, int], width: int, maxbits: int,
                  tag: str = "") -> TypedWire:
@@ -258,29 +269,12 @@ class Builder:
         return out
 
     def bitwise(self, op: str, a: TypedWire, b: TypedWire) -> TypedWire:
-        w = a.width
-        assert w != FIELD_WIDTH, "bitwise operators unsupported on 256-bit values"
+        assert a.width != FIELD_WIDTH, "bitwise operators unsupported on 256-bit values"
         abits = self.ensure_bits(a)
         bbits = self.ensure_bits(b)
-        out_first = self.alloc(w)
-        out_bits = [lc_of(out_first + i) for i in range(w)]
-        for i in range(w):
-            x, y, z = abits[i], bbits[i], out_bits[i]
-            if op == "&":
-                self.enforce(x, y, z, f"and.{i}")
-            elif op == "|":
-                self.enforce(x, y, lc_sub(lc_add(x, y), z), f"or.{i}")
-            else:  # xor
-                self.enforce(lc_scale(x, 2), y, lc_sub(lc_add(x, y), z), f"xor.{i}")
-
-        def fn(v, w=w, op=op):
-            x, y = v
-            r = {"&": x & y, "|": x | y, "^": x ^ y}[op]
-            return [(r >> i) & 1 for i in range(w)]
-
-        self.hint(list(range(out_first, out_first + w)),
-                  [self.recompose(abits), self.recompose(bbits)], fn)
-        return TypedWire(self.recompose(out_bits), w, a.signed, out_bits)
+        out_bits = self.bit_gate(op, abits, bbits, self.recompose(abits),
+                                 self.recompose(bbits), _BIT_GATE_TAGS[op])
+        return TypedWire(self.recompose(out_bits), a.width, a.signed, out_bits)
 
     def bit_not(self, a: TypedWire) -> TypedWire:
         w = a.width

@@ -144,23 +144,6 @@ PUBLIC_BOOL = AnnotatedType(BOOL)
 PUBLIC_ADDRESS = AnnotatedType(ADDRESS)
 
 
-def storage_width(dtype: DataType) -> int:
-    """Bit width of a primitive value as the runtime stores it."""
-    if isinstance(dtype, BoolType):
-        return 1
-    if isinstance(dtype, IntType):
-        return dtype.bits
-    if isinstance(dtype, AddressType):
-        return 160
-    if isinstance(dtype, EnumType):
-        return 8
-    raise TypeError(f"{dtype} has no storage width")
-
-
-def is_signed(dtype: DataType) -> bool:
-    return isinstance(dtype, IntType) and dtype.signed
-
-
 def is_primitive(dtype: DataType) -> bool:
     return isinstance(dtype, (BoolType, IntType, AddressType, EnumType))
 

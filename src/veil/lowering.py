@@ -129,10 +129,6 @@ class LoweredCircuit:
     hash_compressions: int = 0
     digest_wire: Optional[int] = None
 
-    @property
-    def public_slots_after_hashing(self) -> int:
-        return 1 if self.hashing_active else self.in_total + self.out_total
-
     def witness_inputs(self, in_values: List[int], out_values: List[int],
                        priv_values: Dict[str, object]) -> Dict[int, int]:
         assert len(in_values) == self.in_total, "in array length mismatch"
@@ -176,11 +172,11 @@ class _Lowerer:
         digest_wire = None
         if self.hashing_active:
             digest_wire = bld.alloc_public(1)
-            in_first = bld.alloc(self.in_total) if self.in_total else bld.n_vars
-            out_first = bld.alloc(self.out_total) if self.out_total else bld.n_vars
+            in_first = bld.alloc(self.in_total) if self.in_total else bld.cs.n_vars
+            out_first = bld.alloc(self.out_total) if self.out_total else bld.cs.n_vars
         else:
-            in_first = bld.alloc_public(self.in_total) if self.in_total else bld.n_vars
-            out_first = bld.alloc_public(self.out_total) if self.out_total else bld.n_vars
+            in_first = bld.alloc_public(self.in_total) if self.in_total else bld.cs.n_vars
+            out_first = bld.alloc_public(self.out_total) if self.out_total else bld.cs.n_vars
         in_wires = list(range(in_first, in_first + self.in_total))
         out_wires = list(range(out_first, out_first + self.out_total))
         self.slot_wires = {"in": in_wires, "out": out_wires}
@@ -204,7 +200,7 @@ class _Lowerer:
                 elif var.ctype is not None:
                     # secret inputs carry their declared width as a range proof
                     self.wires[var.name] = bld.input_wire(
-                        first, self._width_of(var.ctype), var.ctype.signed,
+                        first, var.ctype.width, var.ctype.signed,
                         range_check=var.ctype.width != FIELD_WIDTH)
                 else:
                     self.cipher_wires[var.name] = list(range(first, first + var.slots))
@@ -236,9 +232,6 @@ class _Lowerer:
             in_wires=in_wires, out_wires=out_wires, priv_wires=self.priv_wires,
             hashing_active=self.hashing_active, hash_mode=self.hash_mode,
             hash_compressions=compressions, digest_wire=digest_wire)
-
-    def _width_of(self, ct: CircType) -> int:
-        return ct.width
 
     def _bind_slot_var(self, var: CircuitVar, wires: List[int]):
         base = var.slot_offset

@@ -18,7 +18,7 @@ import hashlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .field import Field
-from .gadgets import Builder, lc_add, lc_const, lc_scale, lc_sub
+from .gadgets import Builder, lc_add, lc_const
 
 CONCAT = "concat"
 LEGACY_CHAIN = "legacy-chain"
@@ -105,7 +105,7 @@ class Word:
 
     def lc(self) -> Dict[int, int]:
         if self._lc is None:
-            self._lc = lc_add(*(lc_scale(b, 1 << i) for i, b in enumerate(self.bits)))
+            self._lc = Builder.recompose(self.bits)
         return self._lc
 
     def rotr(self, r: int) -> "Word":
@@ -121,42 +121,22 @@ class Sha256Gadget:
 
     # -- word helpers --
 
-    def _bitop(self, a: Word, b: Word, kind: str) -> Word:
-        bld = self.bld
-        first = bld.alloc(32)
-        out = [
-            {first + i: 1} for i in range(32)
-        ]
-        for i in range(32):
-            x, y, z = a.bits[i], b.bits[i], out[i]
-            if kind == "and":
-                bld.enforce(x, y, z, "sha.and")
-            else:  # xor
-                bld.enforce(lc_scale(x, 2), y, lc_sub(lc_add(x, y), z), "sha.xor")
-
-        def fn(v, kind=kind):
-            x, y = v
-            r = (x & y) if kind == "and" else (x ^ y)
-            return [(r >> i) & 1 for i in range(32)]
-
-        bld.hint(list(range(first, first + 32)), [a.lc(), b.lc()], fn)
-        return Word(out)
-
-    def xor(self, a: Word, b: Word) -> Word:
-        return self._bitop(a, b, "xor")
+    def xor(self, a: Word, b: Word, tag: str = "sha.xor") -> Word:
+        return Word(self.bld.bit_gate("^", a.bits, b.bits, a.lc(), b.lc(), tag))
 
     def xor3(self, a: Word, b: Word, c: Word) -> Word:
         return self.xor(self.xor(a, b), c)
 
     def band(self, a: Word, b: Word) -> Word:
-        return self._bitop(a, b, "and")
+        return Word(self.bld.bit_gate("&", a.bits, b.bits, a.lc(), b.lc(), "sha.and"))
 
-    def add_mod32(self, parts: List[Dict[int, int]], extra_const: int = 0) -> Word:
+    def add_mod32(self, parts: List[Dict[int, int]], extra_const: int = 0,
+                  tag: str = "sha.add") -> Word:
         """Sum word values modulo 2^32, returning the result's bits."""
         total = lc_add(*parts, lc_const(extra_const))
         maxval = (len(parts) + (1 if extra_const else 0)) << 32
         nbits = max(33, maxval.bit_length())
-        bits = self.bld.decompose(total, nbits, "sha.add")
+        bits = self.bld.decompose(total, nbits, tag)
         return Word(bits[:32])
 
     # -- compression --
@@ -212,15 +192,8 @@ class Sha256Gadget:
 
     def digest_lc(self, state: List[Word], field: Field) -> Dict[int, int]:
         """Truncated digest as one field element (low field.bits-1 bits)."""
-        keep = field.bits - 1
-        acc: Dict[int, int] = {}
-        for j, word in enumerate(state):
-            base = 256 - 32 * (j + 1)  # LSB position of this word in the digest
-            for i, bit in enumerate(word.bits):
-                pos = base + i
-                if pos < keep:
-                    acc = lc_add(acc, lc_scale(bit, 1 << pos))
-        return acc
+        lsb_first = [bit for word in reversed(state) for bit in word.bits]
+        return Builder.recompose(lsb_first[:field.bits - 1])
 
 
 def circuit_hash(bld: Builder, slot_bits: List[List[Dict[int, int]]],

@@ -76,9 +76,6 @@ class TransformedContract:
     tast: TypedAst
     backend_name: str = "dummy"
 
-    def entry_for(self, fn: str) -> Optional[EntryInfo]:
-        return self.entries.get(fn)
-
 
 # --- constant folding ------------------------------------------------------------
 

@@ -1,6 +1,8 @@
 import hashlib
+import io
 import json
 import os
+import tarfile
 
 import pytest
 
@@ -205,3 +207,48 @@ def test_archive_newer_tool_version_rejected(tmp_path):
 def test_pki_text_mentions_backend():
     assert "'dh-arx'" in emit_pki_contract("dh-arx")
     assert "announcePk" in emit_pki_contract("dummy")
+
+
+def _archive_with(tmp_path, good, extra, name):
+    """Copy of the archive `good` with the tar members in `extra` added."""
+    path = str(tmp_path / name)
+    with tarfile.open(good) as src, tarfile.open(path, "w", format=tarfile.PAX_FORMAT) as dst:
+        for m in src.getmembers():
+            dst.addfile(m, src.extractfile(m))
+        for info, data in extra:
+            dst.addfile(info, io.BytesIO(data) if data is not None else None)
+    return path
+
+
+def test_archive_import_rejects_paths_and_non_regular_members(tmp_path):
+    build = str(tmp_path / "build")
+    compile_source(load_source("token"), BuildSettings(), output_dir=build)
+    good = str(tmp_path / "good.zkp")
+    export_archive(build, good)
+
+    def regular(name, data=b"escaped"):
+        info = tarfile.TarInfo(name)
+        info.size = len(data)
+        return info, data
+
+    def special(name, kind, target=""):
+        info = tarfile.TarInfo(name)
+        info.type = kind
+        info.linkname = target
+        return info, None
+
+    evil = {
+        "dotdot": [regular("../x")],
+        "nested-dotdot": [regular("keys/../../y")],
+        "absolute": [regular(str(tmp_path / "abs.txt"))],
+        "directory": [special("keys", tarfile.DIRTYPE)],
+        "symlink": [special("proving_Evil.key", tarfile.SYMTYPE, "../x")],
+    }
+    for case, extra in evil.items():
+        archive = _archive_with(tmp_path, good, extra, f"{case}.zkp")
+        before = sorted(os.listdir(tmp_path))
+        target = tmp_path / "unpacked" / case
+        with pytest.raises(ArchiveError):
+            import_archive(archive, str(target))
+        assert sorted(os.listdir(tmp_path)) == before, case
+        assert not target.exists(), case
