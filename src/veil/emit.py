@@ -17,7 +17,8 @@ import tarfile
 from typing import Dict, List
 
 from . import ast
-from .proving import SCHEME_NAME, TransparentKeys
+from .proving import (SCHEME_NAME, ProvingError, TransparentKeys, VerifierKey,
+                      write_atomic)
 from .transform import TransformedContract
 
 PKI_PLACEHOLDER = "$PKI_ADDRESS$"
@@ -254,9 +255,11 @@ class ArchiveError(Exception):
 
 def import_archive(archive_path: str, target_dir: str) -> dict:
     """Unpack and validate an archive; returns its manifest.  Every entry
-    must be a regular file named as `export_archive` names them, key files
-    must match the manifest digests and tool versions must be compatible;
-    nothing is written unless all of that holds."""
+    must be a regular file named as `export_archive` names them, every key
+    file must belong to a circuit the manifest lists and match its entry
+    there (the proving key's digest; the verifying key's digest and public
+    slot counts) and tool versions must be compatible; nothing is written
+    unless all of that holds, and each file is then replaced atomically."""
     from . import __version__
     with tarfile.open(archive_path, "r") as tar:
         members = {}
@@ -282,17 +285,33 @@ def import_archive(archive_path: str, target_dir: str) -> dict:
         files = {}
         for name, m in sorted(members.items()):
             data = tar.extractfile(m).read()
-            if name.startswith("proving_"):
-                circuit = name[len("proving_"):-len(".key")]
-                want = manifest["circuits"].get(circuit, {}).get("pk_digest")
-                if want is not None and hashlib.sha256(data).hexdigest() != want:
-                    raise ArchiveError(f"archive entry '{name}' is corrupted")
+            if name.endswith(".key"):
+                _check_key(name, data, manifest.get("circuits", {}))
             files[name] = data
     os.makedirs(target_dir, exist_ok=True)
     for name, data in files.items():
-        with open(os.path.join(target_dir, name), "wb") as f:
-            f.write(data)
+        write_atomic(os.path.join(target_dir, name), data)
     return manifest
+
+
+def _check_key(name: str, data: bytes, circuits: dict):
+    """`name` is `proving_<circuit>.key` or `verifying_<circuit>.key`."""
+    kind, circuit = name[:-len(".key")].split("_", 1)
+    meta = circuits.get(circuit)
+    if meta is None:
+        raise ArchiveError(f"archive entry '{name}' is a key for circuit "
+                           f"'{circuit}', which the manifest does not list")
+    if kind == "proving":
+        ok = hashlib.sha256(data).hexdigest() == meta.get("pk_digest")
+    else:
+        try:
+            vk = VerifierKey.deserialize(data)
+        except (ProvingError, AttributeError, KeyError, TypeError, ValueError):
+            vk = None
+        ok = vk is not None and (vk.digest.hex(), vk.n_in, vk.n_out) == \
+            (meta.get("vk_digest"), meta.get("n_in"), meta.get("n_out"))
+    if not ok:
+        raise ArchiveError(f"archive entry '{name}' is corrupted")
 
 
 def _version_tuple(v: str):

@@ -191,11 +191,16 @@ def prove(lowered: LoweredCircuit, keys: TransparentKeys,
 def verify(vk: VerifierKey, lowered: LoweredCircuit,
            in_values: List[int], out_values: List[int],
            proof: TransparentProof) -> bool:
-    """True iff the supplied circuit and the proof carry the key's digest,
-    the claimed public inputs agree with the witness prefix (or their digest
-    when hashing is active) and all constraints are satisfied."""
+    """True iff the proof carries the key's digest, the claimed public inputs
+    agree with the witness prefix (or their digest when hashing is active)
+    and all constraints of `lowered.cs` are satisfied.
+
+    The key and the circuit are trusted: nothing here checks that the
+    circuit is the one the key was derived from.  The caller binds them --
+    `keygen` derives both from one serialization, and the chain checks a
+    circuit against its key once, when it registers them."""
     cs = lowered.cs
-    if proof.digest != vk.digest or hashlib.sha256(cs.serialize()).digest() != vk.digest:
+    if proof.digest != vk.digest:
         return False
     n_claimed = 1 if vk.hashing_active else vk.n_in + vk.n_out
     if cs.n_public != 1 + n_claimed:

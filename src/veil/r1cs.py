@@ -12,6 +12,7 @@ coefficients are canonical field elements.
 from __future__ import annotations
 
 import hashlib
+import io
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -81,19 +82,31 @@ class ConstraintSystem:
 
     def serialize(self) -> bytes:
         """Canonical bytes: variables and constraints in creation order,
-        coefficients as minimal big-endian; stable across runs."""
-        out = bytearray(MAGIC_R1CS)
-        _put_bytes(out, self.field.name.encode())
-        _put_uint(out, self.n_vars)
-        _put_uint(out, self.n_public)
-        _put_uint(out, len(self.constraints))
+        every integer as a length byte and minimal big-endian; stable across
+        runs.  Each wire index is encoded once up front (its encoding also
+        serves combination lengths below `n_vars`) and each distinct
+        coefficient once, on first use."""
+        out = io.BytesIO()
+        write = out.write
+        name = self.field.name.encode()
+        write(MAGIC_R1CS + bytes((len(name),)) + name)
+        write(_uint(self.n_vars) + _uint(self.n_public) +
+              _uint(len(self.constraints)))
+        n_vars = self.n_vars
+        wires = [_uint(i) for i in range(n_vars)]
+        coeffs: Dict[int, bytes] = {}
         for a, b, c in self.constraints:
             for lc in (a, b, c):
-                _put_uint(out, len(lc))
+                n = len(lc)
+                write(wires[n] if n < n_vars else _uint(n))
                 for idx, coeff in lc:
-                    _put_uint(out, idx)
-                    _put_uint(out, coeff)
-        return bytes(out)
+                    write(wires[idx])
+                    try:
+                        write(coeffs[coeff])
+                    except KeyError:
+                        coeffs[coeff] = raw = _uint(coeff)
+                        write(raw)
+        return out.getvalue()
 
     @classmethod
     def deserialize(cls, data: bytes) -> "ConstraintSystem":
@@ -119,16 +132,10 @@ class ConstraintSystem:
         return hashlib.sha256(self.serialize()).digest()
 
 
-def _put_uint(buf: bytearray, v: int):
+def _uint(v: int) -> bytes:
     raw = v.to_bytes((v.bit_length() + 7) // 8 or 1, "big")
     assert len(raw) < 256
-    buf.append(len(raw))
-    buf.extend(raw)
-
-
-def _put_bytes(buf: bytearray, raw: bytes):
-    buf.append(len(raw))
-    buf.extend(raw)
+    return bytes((len(raw),)) + raw
 
 
 def _get_uint(data: bytes, pos: List[int]) -> int:

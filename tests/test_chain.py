@@ -1,5 +1,7 @@
 import copy
+import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +10,8 @@ from veil.chain import (ChainError, GAS_PER_COMPRESSION, GAS_PER_SLOT,
 from veil.compiler import BuildSettings, compile_source
 from veil.field import DEFAULT_FIELD
 from veil.interpreter import RequireException
+from veil.proving import TransparentKeys, TransparentProof
+from veil.r1cs import ConstraintSystem
 from veil import runtime
 
 from conftest import load_source
@@ -285,3 +289,130 @@ def test_save_replaces_the_chain_file_atomically(token_artifact, tmp_path,
         chain.save(str(path))
     assert path.read_bytes() == saved
     assert [p.name for p in tmp_path.iterdir() if p.is_file()] == ["chain.json"]
+
+
+# --- the chain verifies against circuits it checked itself -----------------
+
+
+def _forge(artifact, circuit, lowered, vk):
+    """`artifact` with the circuit and verifying key of `circuit` replaced;
+    its contract text, and so its content digest, is unchanged."""
+    keys = artifact.keys[circuit]
+    return replace(artifact,
+                   lowered={**artifact.lowered, circuit: lowered},
+                   keys={**artifact.keys,
+                         circuit: TransparentKeys(keys.prover, vk)})
+
+
+def _forged_buys(artifact, iface):
+    """A `buy` under a forged circuit (an empty system with the genuine
+    public prefix and a key for it) with garbage `out`, and a genuine `buy`
+    under a key whose digest is altered: (artifact, out, proof) each."""
+    circuit = artifact.tc.entries["buy"].root_circuit
+    lowered, vk = artifact.lowered[circuit], artifact.keys[circuit].verifier
+    assert not vk.hashing_active
+    p = artifact.field.p
+    tx = iface.simulate_call("buy", [5])
+    ins = [tx.proof.witness[i] for i in lowered.in_wires]
+    garbage = [(v + 12345) % p for v in tx.out]
+    n_public = lowered.cs.n_public
+    empty = ConstraintSystem(artifact.field, n_vars=n_public, n_public=n_public)
+    digest = hashlib.sha256(empty.serialize()).digest()
+    forged_circuit = _forge(artifact, circuit, replace(lowered, cs=empty),
+                            replace(vk, digest=digest))
+    forged_proof = TransparentProof(digest, [1] + ins + garbage)
+    altered = bytes([vk.digest[0] ^ 1]) + vk.digest[1:]
+    forged_key = _forge(artifact, circuit, lowered, replace(vk, digest=altered))
+    altered_proof = TransparentProof(altered, tx.proof.witness)
+    return tx.args, [(forged_circuit, garbage, forged_proof),
+                     (forged_key, tx.out, altered_proof)]
+
+
+@pytest.mark.parametrize("registry", ["fresh", "loaded", "populated"])
+def test_forged_circuit_or_key_reverts(token_artifact, tmp_path, registry):
+    chain, alice, addr = deploy_token(token_artifact, tmp_path)
+    dd = str(tmp_path / "d")
+    iface = runtime.connect(token_artifact, chain, addr, alice, data_dir=dd,
+                            rng=random.Random(5))
+    assert iface.call("register", []).success
+    if registry == "loaded":
+        path = str(tmp_path / "chain.json")
+        chain.save(path)
+        chain = MockChain.load(path, token_artifact.field)
+        iface = runtime.connect(token_artifact, chain, addr, alice, data_dir=dd,
+                                rng=random.Random(6))
+    if registry == "populated":
+        assert iface.call("buy", [1]).success
+    args, forgeries = _forged_buys(token_artifact, iface)
+    for artifact, out, proof in forgeries:
+        before = chain.state_digest()
+        receipt = chain.transact(addr, "buy", args, alice, 0, out, proof,
+                                 artifact)
+        assert not receipt.success and receipt.exit_kind == "verification"
+        assert chain.state_digest() == before
+    # nothing forged was registered: a genuine buy still verifies
+    assert iface.call("buy", [2]).success
+    assert iface.state("balance", (alice,)) == (3 if registry == "populated" else 2)
+
+
+def test_chain_serializes_each_circuit_once(token_artifact, tmp_path,
+                                            monkeypatch):
+    calls = []
+    original = ConstraintSystem.serialize
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ConstraintSystem, "serialize", counting)
+    chain, alice, addr = deploy_token(token_artifact, tmp_path)
+    dd = str(tmp_path / "d")
+    iface = runtime.connect(token_artifact, chain, addr, alice, data_dir=dd,
+                            rng=random.Random(7))
+    assert iface.call("register", []).success
+    assert iface.call("buy", [1]).success
+    assert len(calls) == len(token_artifact.keys)
+    calls.clear()
+    for amount in range(2, 6):
+        assert iface.call("buy", [amount]).success
+    assert calls == []
+    path = str(tmp_path / "chain.json")
+    chain.save(path)
+    loaded = MockChain.load(path, token_artifact.field)
+    iface = runtime.connect(token_artifact, loaded, addr, alice, data_dir=dd,
+                            rng=random.Random(8))
+    assert calls == []
+    assert iface.call("buy", [6]).success
+    assert len(calls) == len(token_artifact.keys)
+
+
+def test_circuit_that_could_change_after_registration_reverts(token_artifact,
+                                                              tmp_path):
+    """The genuine constraints held in lists, or with a float coefficient
+    equal to an int one, serialize to the key's digest; the chain must not
+    seal either, since lists can be emptied later and float arithmetic is
+    inexact."""
+    circuit = token_artifact.tc.entries["buy"].root_circuit
+    lowered = token_artifact.lowered[circuit]
+    genuine = lowered.cs.constraints
+    as_lists = [tuple(list(lc) for lc in abc) for abc in genuine]
+    i, k = next((i, k) for i, abc in enumerate(genuine) if i > 0
+                for k, lc in enumerate(abc) if lc and lc[0][1] == 1)
+    with_float = list(genuine)
+    lcs = list(with_float[i])
+    lcs[k] = ((lcs[k][0][0], 1.0),) + lcs[k][1:]
+    with_float[i] = tuple(lcs)
+    for constraints in (as_lists, with_float):
+        cs = replace(lowered.cs, constraints=constraints)
+        assert cs.serialize() == lowered.cs.serialize()
+        chain, alice, addr = deploy_token(token_artifact, tmp_path)
+        forged = _forge(token_artifact, circuit, replace(lowered, cs=cs),
+                        token_artifact.keys[circuit].verifier)
+        iface = runtime.connect(forged, chain, addr, alice,
+                                data_dir=str(tmp_path / "d"),
+                                rng=random.Random(9))
+        assert iface.call("register", []).success
+        before = chain.state_digest()
+        receipt = iface.call("buy", [1])
+        assert not receipt.success and receipt.exit_kind == "verification"
+        assert chain.state_digest() == before

@@ -10,7 +10,7 @@ from veil.compiler import (BuildSettings, compile_source, load_artifact,
                            ArtifactError)
 from veil.emit import (ArchiveError, export_archive, import_archive,
                        emit_pki_contract)
-from veil.proving import keygen
+from veil.proving import VerifierKey, keygen
 from veil.r1cs import ConstraintSystem
 from veil.source import SourceFile
 
@@ -252,3 +252,41 @@ def test_archive_import_rejects_paths_and_non_regular_members(tmp_path):
             import_archive(archive, str(target))
         assert sorted(os.listdir(tmp_path)) == before, case
         assert not target.exists(), case
+
+
+def test_archive_import_checks_key_files_against_the_manifest(tmp_path):
+    build = str(tmp_path / "build")
+    compile_source(load_source("token"), BuildSettings(), output_dir=build)
+    vk_file = os.path.join(build, "verifying_Token_buy_ext.key")
+    with open(vk_file, "rb") as f:
+        genuine = f.read()
+    good = str(tmp_path / "good.zkp")
+    export_archive(build, good)
+    vk = VerifierKey.deserialize(genuine)
+    bad_keys = {
+        "zero-digest": VerifierKey(bytes(32), vk.n_in, vk.n_out, vk.hashing_active,
+                                   vk.hash_mode, vk.hash_compressions,
+                                   vk.field_name).serialize(),
+        "n_in": VerifierKey(vk.digest, 99, vk.n_out, vk.hashing_active,
+                            vk.hash_mode, vk.hash_compressions,
+                            vk.field_name).serialize(),
+        "garbage": b"not a key",
+    }
+    archives = {}
+    for case, data in bad_keys.items():
+        with open(vk_file, "wb") as f:
+            f.write(data)
+        archives[case] = str(tmp_path / f"{case}.zkp")
+        export_archive(build, archives[case])
+    info = tarfile.TarInfo("proving_Nope.key")
+    info.size = 4
+    archives["unknown-circuit"] = _archive_with(
+        tmp_path, good, [(info, b"nope")], "unknown-circuit.zkp")
+    for case, archive in archives.items():
+        target = tmp_path / "unpacked" / case
+        with pytest.raises(ArchiveError):
+            import_archive(archive, str(target))
+        assert not target.exists(), case
+    import_archive(good, str(tmp_path / "unpacked" / "good"))
+    assert (tmp_path / "unpacked" / "good" / "verifying_Token_buy_ext.key"
+            ).read_bytes() == genuine
