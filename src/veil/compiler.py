@@ -5,9 +5,11 @@ keys and the manifest.
 """
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -88,8 +90,28 @@ class CompiledArtifact:
         return hashlib.sha256(self.verifier_texts[circuit].encode()).digest()
 
 
+@contextmanager
+def _collector_paused():
+    """Disable the cyclic garbage collector, restoring the caller's setting
+    on exit.  Lowering allocates millions of objects that live as long as
+    the circuit; collections would rescan them and free nothing."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def compile_source(source: SourceFile, settings: BuildSettings,
                    output_dir: Optional[str] = None) -> CompiledArtifact:
+    """Compile a contract: front end, lowering of every entry circuit, keys
+    and emitted texts.  With `output_dir`, keys come from its key cache and
+    the build is written there.
+
+    The cyclic garbage collector is paused while circuits are lowered and
+    restored to the caller's setting afterwards, also when lowering raises."""
     contract = parse(source)
     tast = analyze(source, contract)
     field = field_by_name(settings.prime)
@@ -97,11 +119,12 @@ def compile_source(source: SourceFile, settings: BuildSettings,
     tc = transform_contract(tast, backend)
 
     lowered: Dict[str, LoweredCircuit] = {}
-    for entry in tc.entries.values():
-        flat = inline_calls(tc.circuits, entry.root_circuit, entry.layout)
-        lowered[entry.root_circuit] = lower(
-            flat, backend, field, entry.in_total, entry.out_total,
-            settings.hash_threshold, settings.hash_mode)
+    with _collector_paused():
+        for entry in tc.entries.values():
+            flat = inline_calls(tc.circuits, entry.root_circuit, entry.layout)
+            lowered[entry.root_circuit] = lower(
+                flat, backend, field, entry.in_total, entry.out_total,
+                settings.hash_threshold, settings.hash_mode)
 
     cache = KeyCache(output_dir) if output_dir else None
     keys: Dict[str, TransparentKeys] = {}

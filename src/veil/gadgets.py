@@ -89,7 +89,13 @@ class Builder:
     # --- raw constraints ------------------------------------------------------
 
     def _freeze(self, lc: Dict[int, int]) -> LC:
-        return tuple(sorted((k, v % self.p) for k, v in lc.items() if v % self.p))
+        """The canonical sorted form; coefficients are reduced only when one
+        lies outside (0, p)."""
+        p = self.p
+        for v in lc.values():
+            if not 0 < v < p:
+                return tuple(sorted((k, v % p) for k, v in lc.items() if v % p))
+        return tuple(sorted(lc.items()))
 
     def enforce(self, a: Dict[int, int], b: Dict[int, int], c: Dict[int, int],
                 tag: str = ""):
@@ -117,10 +123,13 @@ class Builder:
         """Prove 0 <= value < 2^nbits and return its bits, LSB first."""
         first = self.alloc(nbits)
         bit_vars = list(range(first, first + nbits))
-        for b in bit_vars:
-            self.enforce(lc_of(b), lc_of(b), lc_of(b), tag or "bit")
+        constraints, tags, bit_tag = self.cs.constraints, self.cs.tags, tag or "bit"
+        for b in bit_vars:  # booleanity: b * b = b
+            t = ((b, 1),)
+            constraints.append((t, t, t))
+            tags.append(bit_tag)
         total = {b: 1 << i for i, b in enumerate(bit_vars)}
-        self.enforce(lc_add(total), lc_const(1), lc, tag or "recompose")
+        self.enforce(total, lc_const(1), lc, tag or "recompose")
 
         def fn(v, n=nbits):
             x = v[0]
@@ -137,7 +146,12 @@ class Builder:
 
     @staticmethod
     def recompose(bits: List[Dict[int, int]]) -> Dict[int, int]:
-        return lc_add(*(lc_scale(b, 1 << i) for i, b in enumerate(bits))) if bits else {}
+        """The sum of bits[i] * 2^i."""
+        out: Dict[int, int] = {}
+        for i, b in enumerate(bits):
+            for k, v in b.items():
+                out[k] = out.get(k, 0) + (v << i)
+        return out
 
     def bit_gate(self, op: str, xbits: List[Dict[int, int]], ybits: List[Dict[int, int]],
                  x: Dict[int, int], y: Dict[int, int], tag: str) -> List[Dict[int, int]]:
@@ -147,7 +161,24 @@ class Builder:
         n = len(xbits)
         first = self.alloc(n)
         out = [{first + i: 1} for i in range(n)]
-        for xb, yb, z in zip(xbits, ybits, out):
+        constraints, tags, minus_one = self.cs.constraints, self.cs.tags, self.p - 1
+        for xb, yb, zw in zip(xbits, ybits, range(first, first + n)):
+            if len(xb) == 1 == len(yb):
+                (xw, xc), = xb.items()
+                (yw, yc), = yb.items()
+                if xc == 1 == yc and xw != yw:
+                    # two distinct wires: the frozen forms of the formulas
+                    # below, with the fresh output wire sorting last
+                    if op == "&":
+                        constraints.append((((xw, 1),), ((yw, 1),), ((zw, 1),)))
+                    else:
+                        lo, hi = (xw, yw) if xw < yw else (yw, xw)
+                        a = ((xw, 2),) if op == "^" else ((xw, 1),)
+                        constraints.append(
+                            (a, ((yw, 1),), ((lo, 1), (hi, 1), (zw, minus_one))))
+                    tags.append(tag)
+                    continue
+            z = lc_of(zw)
             if op == "^":  # 2x * y = x + y - z
                 self.enforce(lc_scale(xb, 2), yb, lc_sub(lc_add(xb, yb), z), tag)
             elif op == "&":
@@ -347,7 +378,7 @@ class Builder:
             d = v[0]
             if d == 0:
                 return [0, 1]
-            return [pow(d, p - 2, p), 0]
+            return [pow(d, -1, p), 0]
 
         self.hint([inv, z], [lc], fn)
         return lc_of(z)

@@ -11,7 +11,6 @@ coefficients are canonical field elements.
 """
 from __future__ import annotations
 
-import hashlib
 import io
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -75,9 +74,6 @@ class ConstraintSystem:
                 return i, self.tags[i]
         return None
 
-    def satisfied(self, w: List[int]) -> bool:
-        return self.check(w) is None
-
     # --- canonical serialization -------------------------------------------
 
     def serialize(self) -> bytes:
@@ -127,9 +123,6 @@ class ConstraintSystem:
             cs.constraints.append(tuple(lcs))
             cs.tags.append("")
         return cs
-
-    def digest(self) -> bytes:
-        return hashlib.sha256(self.serialize()).digest()
 
 
 def _uint(v: int) -> bytes:

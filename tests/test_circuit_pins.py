@@ -4,6 +4,10 @@ each constraint is counted under."""
 import collections
 import hashlib
 
+from veil.compiler import BuildSettings, compile_source
+
+from conftest import load_source
+
 # one SHA-256 compression in the circuit, in constraints
 SHA256_COMPRESSION = 35288
 
@@ -12,6 +16,16 @@ def test_hybrid_buy_circuit_bytes_pinned(hybrid_token):
     cs_bytes = hybrid_token.keys["Token_buy_ext"].prover.cs_bytes
     assert hashlib.sha256(cs_bytes).hexdigest() == \
         "372a5819e7a448265bfaa248a3676dff5a5553b2cb388b66eb4c628634c540f9"
+
+
+def test_default_hybrid_buy_circuit_bytes_pinned():
+    # default settings hash the public inputs: nine compressions, whose IV
+    # and padding constants take the bit gate's generic path
+    art = compile_source(load_source("token"),
+                         BuildSettings(crypto_backend="dh-arx"))
+    cs_bytes = art.keys["Token_buy_ext"].prover.cs_bytes
+    assert hashlib.sha256(cs_bytes).hexdigest() == \
+        "1563b4f970479a9773ac5776eacb353cd130229d4c6e68c0d0421f001135d7b4"
 
 
 def test_corpus_verifying_keys_pinned(artifacts):
