@@ -13,16 +13,19 @@ digest `deploy` recorded, and the SHA-256 of the sender's constraint system
 must equal that key's digest.  The chain then registers, in memory, a copy
 of the key and the system sealed as `n_vars`, `n_public` and a tuple of its
 constraints; the linear combinations must be immutable tuples of ints, as
-this package builds them, so copying the outer list is enough.  Every later
-proof for that address is verified with the registered key and constraints,
-whatever the artifact carries.  A failed check reverts the transaction as
-`verification` and registers nothing.  The registry is not part of the
-chain file or its digests.
+this package builds them, so copying the outer list is enough.  It also
+classifies the sealed constraints, once, for the bulk tests of
+`ConstraintSystem.check`.  Every later proof for that address is verified
+with the registered key, constraints and classes, whatever the artifact
+carries.  A failed check reverts the transaction as `verification` and
+registers nothing.  The registry is not part of the chain file or its
+digests.
 
 A transaction runs directly on the contract's storage and the accounts; the
 evaluator's undo journal reverts it and yields its state diff, so its cost
-does not grow with the size of the storage.  `save` replaces the chain file
-atomically.
+does not grow with the size of the storage.  The journal is undone as well
+when an exception escapes a transaction, so none of its writes stays.
+`save` replaces the chain file atomically.
 """
 from __future__ import annotations
 
@@ -236,6 +239,9 @@ class MockChain:
                                 exit_kind="verification")
         except RequireException as e:
             receipt = TxReceipt(False, revert_reason=e.reason, exit_kind="require")
+        except BaseException:
+            evaluator.undo()
+            raise
         evaluator.undo()
         return receipt
 
@@ -389,8 +395,9 @@ class ChainEvaluator(Evaluator):
     def _register(self, circuit: str, vaddr: int):
         """Check the artifact's key for `circuit` against the verifier text
         recorded at `vaddr` and its constraint system against the key, once;
-        then keep a copy of the key and the sealed system, so no reference to
-        the artifact, its hints or their closures stays alive."""
+        then keep a copy of the key and the sealed system with its check
+        plan, so no reference to the artifact, its hints or their closures
+        stays alive."""
         keys = self.artifact.keys[circuit]
         vk = VerifierKey.deserialize(keys.verifier.serialize())
         text = emit_verifier_contract(circuit, replace(keys, verifier=vk))
@@ -406,5 +413,6 @@ class ChainEvaluator(Evaluator):
                                   constraints, ("",) * len(constraints))
         if hashlib.sha256(sealed.serialize()).digest() != vk.digest:
             raise VerificationFailed(circuit)
+        sealed.plan_check()
         registered = self.chain.verifiers[vaddr] = (vk, replace(lowered, cs=sealed))
         return registered

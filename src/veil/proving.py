@@ -76,13 +76,6 @@ class ProverKey:
     def serialize(self) -> bytes:
         return MAGIC_PK + self.digest + self.cs_bytes
 
-    @classmethod
-    def deserialize(cls, data: bytes) -> "ProverKey":
-        if not data.startswith(MAGIC_PK):
-            raise ProvingError("not a prover key (bad magic)")
-        rest = data[len(MAGIC_PK):]
-        return cls(rest[:32], rest[32:])
-
 
 @dataclass
 class TransparentKeys:
@@ -180,8 +173,10 @@ def prove(lowered: LoweredCircuit, keys: TransparentKeys,
         digest, _ = hash_public_io(in_values + out_values, lowered.field,
                                    lowered.hash_mode)
         inputs[lowered.digest_wire] = digest
-    witness = lowered.cs.generate_witness(inputs)
-    failure = lowered.cs.check(witness)
+    cs = lowered.cs
+    witness = cs.generate_witness(inputs)
+    cs.plan_check()
+    failure = cs.check(witness)
     if failure is not None:
         index, tag = failure
         raise ProvingError(f"unsatisfied constraint {index}: {tag}")
@@ -191,9 +186,10 @@ def prove(lowered: LoweredCircuit, keys: TransparentKeys,
 def verify(vk: VerifierKey, lowered: LoweredCircuit,
            in_values: List[int], out_values: List[int],
            proof: TransparentProof) -> bool:
-    """True iff the proof carries the key's digest, the claimed public inputs
-    agree with the witness prefix (or their digest when hashing is active)
-    and all constraints of `lowered.cs` are satisfied.
+    """True iff the proof carries the key's digest, its witness is a list of
+    exact ints, the claimed public inputs agree with the witness prefix (or
+    their digest when hashing is active) and all constraints of `lowered.cs`
+    are satisfied.
 
     The key and the circuit are trusted: nothing here checks that the
     circuit is the one the key was derived from.  The caller binds them --
@@ -205,7 +201,10 @@ def verify(vk: VerifierKey, lowered: LoweredCircuit,
     n_claimed = 1 if vk.hashing_active else vk.n_in + vk.n_out
     if cs.n_public != 1 + n_claimed:
         return False
-    if len(proof.witness) != cs.n_vars or proof.witness[0] != 1:
+    w = proof.witness
+    # exact ints only: the bulk tests of `check` read 1.0 and True as the
+    # bit 1, and float arithmetic in its loop is inexact
+    if not set(map(type, w)) <= {int} or len(w) != cs.n_vars or w[0] != 1:
         return False
     if len(in_values) != vk.n_in or len(out_values) != vk.n_out:
         return False
@@ -215,6 +214,6 @@ def verify(vk: VerifierKey, lowered: LoweredCircuit,
         claimed = [digest]
     else:
         claimed = [v % p for v in in_values + out_values]
-    if [w % p for w in proof.witness[1:1 + n_claimed]] != claimed:
+    if [v % p for v in w[1:1 + n_claimed]] != claimed:
         return False
-    return cs.check(proof.witness) is None
+    return cs.check(w) is None

@@ -15,9 +15,6 @@ class Span:
     def __post_init__(self):
         assert 0 <= self.start <= self.end
 
-    def contains(self, other: "Span") -> bool:
-        return self.start <= other.start and other.end <= self.end
-
     def merge(self, other: "Span") -> "Span":
         return Span(min(self.start, other.start), max(self.end, other.end))
 

@@ -7,12 +7,12 @@ import pytest
 
 from veil.chain import (ChainError, GAS_PER_COMPRESSION, GAS_PER_SLOT,
                         GAS_PER_VERIFICATION, MockChain)
-from veil.compiler import BuildSettings, compile_source
+from veil.compiler import BuildSettings, compile_source, load_artifact
 from veil.field import DEFAULT_FIELD
 from veil.interpreter import RequireException
 from veil.proving import TransparentKeys, TransparentProof
 from veil.r1cs import ConstraintSystem
-from veil import runtime
+from veil import r1cs, runtime
 
 from conftest import load_source
 
@@ -384,6 +384,87 @@ def test_chain_serializes_each_circuit_once(token_artifact, tmp_path,
     assert calls == []
     assert iface.call("buy", [6]).success
     assert len(calls) == len(token_artifact.keys)
+
+
+def test_check_plans_made_once_per_holder(tmp_path, monkeypatch):
+    """Compiling and loading classify nothing; the prover classifies each
+    circuit on its first proof and the chain on registering it, once per
+    chain instance, however many transactions follow."""
+    made = []
+    original = r1cs.classify
+
+    def counting(constraints, p):
+        made.append(type(constraints))  # the prover's list, the chain's tuple
+        return original(constraints, p)
+
+    monkeypatch.setattr(r1cs, "classify", counting)
+    build = str(tmp_path / "build")
+    artifact = compile_source(load_source("token"), BuildSettings(),
+                              output_dir=build)
+    loaded = load_artifact(build)
+    assert made == []
+    assert all(low.cs.plan is None for a in (artifact, loaded)
+               for low in a.lowered.values())
+    chain, alice, addr = deploy_token(artifact, tmp_path)
+    dd = str(tmp_path / "d")
+    iface = runtime.connect(artifact, chain, addr, alice, data_dir=dd,
+                            rng=random.Random(7))
+    assert iface.call("register", []).success
+    assert iface.call("buy", [1]).success
+    n = len(artifact.keys)
+    assert sorted(made, key=str) == [list] * n + [tuple] * n
+    made.clear()
+    for amount in range(2, 5):
+        assert iface.call("buy", [amount]).success
+    assert made == []
+    path = str(tmp_path / "chain.json")
+    chain.save(path)
+    reloaded = MockChain.load(path, artifact.field)
+    iface = runtime.connect(artifact, reloaded, addr, alice, data_dir=dd,
+                            rng=random.Random(8))
+    assert iface.call("buy", [5]).success
+    assert iface.call("buy", [6]).success
+    assert made == [tuple] * n
+
+
+def _registered_buy(token_artifact, tmp_path):
+    chain, alice, addr = deploy_token(token_artifact, tmp_path)
+    iface = runtime.connect(token_artifact, chain, addr, alice,
+                            data_dir=str(tmp_path / "d"), rng=random.Random(4))
+    assert iface.call("register", []).success
+    return chain, alice, addr, iface.simulate_call("buy", [7])
+
+
+def test_exception_in_transaction_leaves_no_write(token_artifact, tmp_path):
+    """`out[0] = None` raises only after the balance write; the chain must
+    undo it before the exception leaves `transact`."""
+    chain, alice, addr, tx = _registered_buy(token_artifact, tmp_path)
+    before = chain.state_digest()
+    with pytest.raises(TypeError):
+        chain.transact(addr, "buy", tx.args, alice, 0, [None] + tx.out[1:],
+                       tx.proof, token_artifact)
+    assert chain.state_digest() == before
+
+
+@pytest.mark.parametrize("entry", [None, True, 1.0])
+def test_witness_of_inexact_ints_reverts(token_artifact, tmp_path, entry):
+    """A witness entry that is not an exact int -- None at every private
+    wire, or True or 1.0 in place of one honest 1 -- reverts as
+    `verification` and leaves the state as it was."""
+    chain, alice, addr, tx = _registered_buy(token_artifact, tmp_path)
+    circuit = token_artifact.tc.entries["buy"].root_circuit
+    n_public = token_artifact.lowered[circuit].cs.n_public
+    w = list(tx.proof.witness)
+    if entry is None:
+        w[n_public:] = [None] * (len(w) - n_public)
+    else:
+        w[w.index(1, n_public)] = entry
+    before = chain.state_digest()
+    receipt = chain.transact(addr, "buy", tx.args, alice, 0, tx.out,
+                             TransparentProof(tx.proof.digest, w),
+                             token_artifact)
+    assert not receipt.success and receipt.exit_kind == "verification"
+    assert chain.state_digest() == before
 
 
 def test_circuit_that_could_change_after_registration_reverts(token_artifact,

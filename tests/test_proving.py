@@ -139,3 +139,25 @@ def test_hashing_mode_prove_verify():
     bad = list(ins)
     bad[0] = (bad[0] + 1) % artifact.field.p
     assert not verify(keys.verifier, lowered, bad, outs, proof)
+
+
+def test_verify_accepts_only_exact_int_witnesses():
+    """Floats and bools satisfy the booleanity constraint b·b = b under
+    Python arithmetic -- 1.0, True, and on t64 even float(p) -- but a
+    witness is a list of exact ints."""
+    from types import SimpleNamespace
+    from veil.field import field_by_name
+    from veil.r1cs import ConstraintSystem
+    field = field_by_name("t64")
+    t = ((1, 1),)
+    lowered = SimpleNamespace(cs=ConstraintSystem(field, 2, 1, [(t, t, t)],
+                                                  ["bit"]))
+    vk = VerifierKey(b"d" * 32, 0, 0, False, "concat", 0, field.name)
+
+    def accepted(w):
+        return verify(vk, lowered, [], [], TransparentProof(b"d" * 32, w))
+
+    assert accepted([1, 1]) and accepted([1, 0]) and accepted([1, field.p + 1])
+    for w in ([1, 1.0], [1, float(field.p)], [1, 2.0 ** 300], [1, True],
+              [True, 1], [1.0, 0]):
+        assert not accepted(w), w
